@@ -23,13 +23,13 @@ scores = gs.score_candidates(cands, Criterion.MNSP)
 print("\npossible-sneak-path count of each scrambled candidate:")
 print(scores)
 
-enc = gs.encode_subarray(user, cfg)
-print(f"selected index {enc.chosen_index} with "
+enc = gs.encode_array(user, cfg, cfg.m)  # one m x m sub-array
+print(f"selected index {enc.chosen_indices[0]} with "
       f"{count_possible_sneak_paths(enc.bits)} possible paths "
       f"(raw data word has "
       f"{count_possible_sneak_paths(gs.augment(user, 0, cfg))})")
 
-decoded = gs.decode_subarray(enc.bits, cfg)
+decoded = gs.decode_array(enc.bits, cfg)
 print(f"decode recovers the user bits exactly: {np.array_equal(decoded, user)}")
 
 # Averaged over many words, selection also thins out the '1' density.
@@ -37,9 +37,9 @@ words = (rng.random((300, cfg.user_bits)) < 0.5).astype(np.int64)
 chosen_paths = []
 ones = 0
 for w in words:
-    e = gs.encode_subarray(w, cfg)
+    e = gs.encode_array(w, cfg, cfg.m)
     chosen_paths.append(count_possible_sneak_paths(e.bits))
-    ones += e.weight
+    ones += e.weights[0]
 raw_paths = [count_possible_sneak_paths(gs.augment(w, 0, cfg)) for w in words]
 print(f"\nover {len(words)} random words:")
 print(f"  mean possible paths, raw word:      {np.mean(raw_paths):7.1f}")

@@ -11,7 +11,7 @@ import numpy as np
 from sneakpath import analysis, mlp
 from sneakpath.channel import ChannelParams
 from sneakpath.codec import CodecConfig
-from sneakpath.detectors import ThresholdDetector, default_grid, derive_threshold
+from sneakpath.detectors import ThresholdDetector
 
 params = ChannelParams(sigma=30.0, p_f=1e-3)
 codec = CodecConfig.make(8, 4)
@@ -24,11 +24,7 @@ trace = mlp.train(model, dataset, mlp.TrainConfig(epochs=100, seed=1))
 print(f"trained 100 epochs, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
 print("\nderiving the imitation threshold from the network's decisions ...")
-pool = mlp.generate_dataset(params, codec, 200, mlp.AFFECTED_ONLY, seed=2)
-reads = [(x / model.normalizer).reshape(params.n, params.n)
-         for x in pool.inputs]
-hard = [mlp.hard_decide(model, r) for r in reads]
-search = derive_threshold(reads, hard, default_grid(params))
+search = mlp.calibrate_threshold(model, params, codec, 200, seed=2)
 print(f"best fixed threshold: {search.r_th_spi:.0f} ohm "
       f"(middle point would be {(params.r0 + params.r1) / 2:.0f} ohm)")
 

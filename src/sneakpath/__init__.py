@@ -14,30 +14,24 @@ from .codec import (
     CodecConfig,
     Criterion,
     EncodedArray,
-    EncodedSubArray,
     ScramblerPoly,
     decode_array,
-    decode_subarray,
     descramble,
     encode_array,
-    encode_subarray,
     scramble,
     tile_weights,
 )
 from .detectors import (
     Classification,
-    DetectMode,
     ThresholdDetector,
     ThresholdSearchResult,
     classify_array,
     default_grid,
     derive_threshold,
     pipeline_detect,
-    threshold_detect,
 )
 from .analysis import (
     BerEstimate,
-    BoundInput,
     Scenario,
     array_level_se,
     ber_lower_bound,

@@ -10,14 +10,14 @@ separating the parasitic HRS level from LRS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, gammaln, logsumexp, xlogy
 
 from . import codec as gs
 from .channel import ChannelParams, random_array, transmit
-from .detectors import DetectMode, ThresholdDetector, classify_array, pipeline_detect
+from .detectors import ThresholdDetector, classify_array, pipeline_detect
 from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
@@ -26,42 +26,22 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class BoundInput:
-    n: int
-    q: float
-    p_f: float
-    r0: float = 1000.0
-    r1: float = 100.0
-    r_sp: float = 250.0
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        ChannelParams(n=self.n, r0=self.r0, r1=self.r1, r_sp=self.r_sp,
-                      sigma=self.sigma, p_f=self.p_f)
-
-    @classmethod
-    def from_params(cls, params: ChannelParams, q: float = 0.5) -> "BoundInput":
-        return cls(n=params.n, q=q, p_f=params.p_f, r0=params.r0, r1=params.r1,
-                   r_sp=params.r_sp, sigma=params.sigma)
-
-
-def p_nonsp(b: BoundInput) -> float:
-    """Probability that a cell has no active sneak-path configuration."""
-    k = b.n - 1
+def p_nonsp(params: ChannelParams, q: float) -> float:
+    """Probability that a cell has no active sneak-path configuration at '1'-density q."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    k = params.n - 1
     u = np.arange(k + 1)
     log_binom = gammaln(k + 1) - gammaln(u + 1) - gammaln(k - u + 1)
-    log_q = xlogy(u, b.q) + xlogy(k - u, 1.0 - b.q)
+    log_q = xlogy(u, q) + xlogy(k - u, 1.0 - q)
     log_marg = log_binom + log_q  # log C(k,u) q^u (1-q)^(k-u), per axis
     uv = np.outer(u, u)
-    log_surv = xlogy(uv, 1.0 - b.p_f * b.q)
+    log_surv = xlogy(uv, 1.0 - params.p_f * q)
     total = logsumexp(log_marg[:, None] + log_marg[None, :] + log_surv)
     return float(np.clip(np.exp(total), 0.0, 1.0))
 
 
-def simulate_nonsp_fraction(b: BoundInput, cells: int, seed: int,
+def simulate_nonsp_fraction(params: ChannelParams, q: float, cells: int, seed: int,
                             batch: int = 20000) -> float:
     """Monte Carlo estimate of the no-active-sneak-path probability.
 
@@ -69,16 +49,18 @@ def simulate_nonsp_fraction(b: BoundInput, cells: int, seed: int,
     fraction is a mean of i.i.d. indicators; cells inside a single array
     are correlated, which would invalidate a plain binomial error bar.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
     if cells < 1:
         raise ValueError("cells must be >= 1")
     rng = np.random.default_rng(seed)
-    n = b.n
+    n = params.n
     clear = 0
     done = 0
     while done < cells:
         m = min(batch, cells - done)
-        a = rng.random((m, n, n)) < b.q
-        fails = rng.random((m, n, n)) < b.p_f
+        a = rng.random((m, n, n)) < q
+        fails = rng.random((m, n, n)) < params.p_f
         # Active configurations for the corner target: an LRS cell in its row,
         # one in its column, and a failed LRS cell on the opposite corner.
         diag = a[:, 1:, 1:] & fails[:, 1:, 1:]
@@ -88,14 +70,13 @@ def simulate_nonsp_fraction(b: BoundInput, cells: int, seed: int,
     return clear / cells
 
 
-def ber_lower_bound(b: BoundInput) -> float:
+def ber_lower_bound(params: ChannelParams, q: float) -> float:
     """Two-level Gaussian-tail lower bound on detected-cell BER."""
-    if b.sigma == 0.0:
+    p = p_nonsp(params, q)  # also rejects q outside [0, 1]
+    if params.sigma == 0.0:
         return 0.0
-    p = p_nonsp(b)
-    r0_sp = 1.0 / (1.0 / b.r0 + 1.0 / b.r_sp)
-    return float(p * q_function((b.r0 - b.r1) / (2.0 * b.sigma))
-                 + (1.0 - p) * q_function((r0_sp - b.r1) / (2.0 * b.sigma)))
+    return float(p * q_function((params.r0 - params.r1) / (2.0 * params.sigma))
+                 + (1.0 - p) * q_function((params.r0_sp - params.r1) / (2.0 * params.sigma)))
 
 
 # --- Monte Carlo harness -------------------------------------------------
@@ -214,9 +195,9 @@ def detect_trial(scn: Scenario, reads: np.ndarray, weights: list[int], tile: int
     if scn.detector == MLP_ALL:
         from .mlp import hard_decide
         return hard_decide(scn.model, reads)
-    mode = DetectMode.DL if scn.detector == PIPELINE_DL else DetectMode.DL_THRESHOLD
-    est, _ = pipeline_detect(reads, weights, tile, scn.params, mode,
-                             model=scn.model, spi_detector=scn.spi_detector)
+    dl = scn.detector == PIPELINE_DL
+    est, _ = pipeline_detect(reads, weights, tile, scn.params, model=scn.model if dl else None,
+                             spi_detector=None if dl else scn.spi_detector)
     return est
 
 
@@ -264,4 +245,4 @@ def empirical_one_density(scn: Scenario, master_seed: int, trials: int = 200) ->
 def bound_for_scenario(scn: Scenario, master_seed: int = 0) -> float:
     """Eq.-style lower bound at the scenario's operating point."""
     q = scn.q if scn.codec is None else empirical_one_density(scn, master_seed)
-    return ber_lower_bound(BoundInput.from_params(scn.params, q))
+    return ber_lower_bound(scn.params, q)

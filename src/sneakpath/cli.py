@@ -8,16 +8,20 @@ Commands::
     sneakpath evaluate  --config fig2.cfg --model det.mlp --out ber.csv
 
 Configs are flat ``key = value`` text files; any key can be overridden on
-the command line with ``--set key=value``.  Result rows use the schema
+the command line with ``--set key=value``, e.g. ``--set detectors=pipeline_dl``.
+Keys outside :data:`CONFIG_KEYS` are rejected.  ``bound`` and ``evaluate``
+run the points of one ``sigma_list``, ``pf_list`` or ``rate_list`` sweep
+(:func:`sweep_points`).  Result rows use the schema
 ``detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed`` and carry
 everything needed to regenerate them byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error or broken model file.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import sys
 from pathlib import Path
 
@@ -40,30 +44,41 @@ RATE_CONFIGS = {
 
 CSV_HEADER = "detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed"
 
+CONFIG_KEYS = frozenset((
+    "n", "r0", "r1", "r_sp", "sigma", "pf", "q", "coded", "m", "l", "poly", "criterion",
+    "sigma_list", "pf_list", "rate_list", "detectors", "threshold", "trials", "seed",
+    "train_count", "filter", "batch_size", "lr", "epochs", "pool", "grid_step",
+))
+
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
 
 class ConfigError(ValueError):
     pass
 
 
 def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+    entries: list[tuple[str, str]] = []  # (where, "key = value")
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         for lineno, line in enumerate(p.read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    for item in overrides:
+            if line:
+                entries.append((f"{path}:{lineno}", line))
+    entries += [("--set", item) for item in overrides]
+    cfg: dict[str, str] = {}
+    for where, item in entries:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        cfg[key.strip()] = value.strip()
+            raise ConfigError(f"{where}: expected key = value, got {item!r}")
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key not in CONFIG_KEYS:
+            near = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"{where}: unknown config key {key!r}{hint}")
+        cfg[key] = value
     return cfg
 
 
@@ -74,9 +89,9 @@ def _get(cfg: dict, key: str, cast, default=None):
         return default
     try:
         if cast is bool:
-            return cfg[key].lower() in ("1", "true", "yes", "on")
+            return _BOOLS[cfg[key].lower()]
         return cast(cfg[key])
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
 
 
@@ -121,6 +136,16 @@ def sweep_from(cfg: dict) -> tuple[str, list]:
         raise ConfigError(f"bad {axis}: {cfg[axis]!r}") from exc
 
 
+def sweep_points(cfg: dict) -> list[tuple[ChannelParams, gs.CodecConfig | None]]:
+    """Channel parameters and code of every point on the config's sweep axis."""
+    axis, values = sweep_from(cfg)
+    if axis == "rate":
+        return [(channel_from(cfg), codec_from(cfg, rate_token=v)) for v in values]
+    return [(channel_from(cfg, sigma=v if axis == "sigma" else None,
+                          p_f=v if axis == "pf" else None), codec_from(cfg))
+            for v in values]
+
+
 def fmt(x: float) -> str:
     return f"{x:.10g}"
 
@@ -141,30 +166,13 @@ def write_rows(out: str, rows: list[str]) -> None:
 
 def cmd_bound(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    axis, values = sweep_from(cfg)
     q = _get(cfg, "q", float, 0.5)
     rows = []
-    for value in values:
-        rate = 1.0
-        if axis == "rate":
-            codec = codec_from(cfg, rate_token=value)
-            params = channel_from(cfg)
-            scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=q)
-            q_eff = analysis.empirical_one_density(scn, seed)
-            rate = codec.rate
-        else:
-            params = channel_from(cfg, sigma=value if axis == "sigma" else None,
-                                  p_f=value if axis == "pf" else None)
-            codec = codec_from(cfg)
-            if codec is not None:
-                scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=q)
-                q_eff = analysis.empirical_one_density(scn, seed)
-                rate = codec.rate
-            else:
-                q_eff = q
-        bound = analysis.ber_lower_bound(analysis.BoundInput.from_params(params, q_eff))
+    for params, codec in sweep_points(cfg):
+        scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=q)
+        bound = analysis.bound_for_scenario(scn, seed)
         rows.append(",".join([
-            "bound", fmt(params.sigma), fmt(params.p_f), fmt(rate),
+            "bound", fmt(params.sigma), fmt(params.p_f), fmt(scn.rate),
             "0", "0", "0", fmt(bound), "0", str(seed),
         ]))
     write_rows(args.out, rows)
@@ -198,22 +206,11 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_threshold(cfg: dict, args) -> int:
-    if args.model is None:
-        raise ConfigError("threshold needs --model (trained model path)")
-    if not Path(args.model).exists():
-        raise ConfigError(f"model file not found: {args.model}")
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    model = mlp.load(args.model)
-    params = channel_from(cfg)
-    codec = codec_from(cfg)
-    pool_count = _get(cfg, "pool", int, 500)
-    dataset = mlp.generate_dataset(params, codec, pool_count, mlp.AFFECTED_ONLY,
-                                   seed + 1, q=_get(cfg, "q", float, 0.5))
-    n = params.n
-    reads_pool = dataset.inputs / model.normalizer
-    hard_pool = [mlp.hard_decide(model, r.reshape(n, n)) for r in reads_pool]
-    grid = detectors.default_grid(params, step=_get(cfg, "grid_step", float, 1.0))
-    result = detectors.derive_threshold([r.reshape(n, n) for r in reads_pool], hard_pool, grid)
+    model = _load_model(args, {})
+    result = mlp.calibrate_threshold(
+        model, channel_from(cfg), codec_from(cfg), _get(cfg, "pool", int, 500), seed + 1,
+        q=_get(cfg, "q", float, 0.5), step=_get(cfg, "grid_step", float, 1.0))
     if args.out:
         lines = ["r_th,distance"] + [
             f"{fmt(t)},{int(d)}" for t, d in zip(result.grid, result.distances)
@@ -240,7 +237,7 @@ def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
 def _load_model(args, cache: dict):
     if "model" not in cache:
         if args.model is None or not Path(args.model).exists():
-            raise ConfigError("this detector set needs --model pointing at a trained model")
+            raise ConfigError("--model must point at a trained model file")
         cache["model"] = mlp.load(args.model)
     return cache["model"]
 
@@ -249,17 +246,9 @@ def cmd_evaluate(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
     trials = args.trials if args.trials is not None else _get(cfg, "trials", int, 1000)
     detector_set = [tok.strip() for tok in _get(cfg, "detectors", str, "midpoint").split(",")]
-    axis, values = sweep_from(cfg)
     model_cache: dict = {}
     rows = []
-    for value in values:
-        if axis == "rate":
-            params = channel_from(cfg)
-            codec = codec_from(cfg, rate_token=value)
-        else:
-            params = channel_from(cfg, sigma=value if axis == "sigma" else None,
-                                  p_f=value if axis == "pf" else None)
-            codec = codec_from(cfg)
+    for params, codec in sweep_points(cfg):
         for detector in detector_set:
             scn = build_scenario(detector, params, codec, cfg, args, model_cache)
             est = analysis.estimate_ber(scn, trials, seed)
@@ -287,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="Monte Carlo trials override")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--model", help="model file (input or output)")
-    parser.add_argument("--mode", choices=["dl", "dl_threshold"],
-                        help="re-detection mode override for pipeline runs")
     return parser
 
 
@@ -296,19 +283,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides)
-        if args.mode is not None:
-            # Mode maps onto the detector set of pipeline evaluations.
-            cfg["detectors"] = ("pipeline_dl" if args.mode == "dl"
-                                else "pipeline_threshold")
         if args.command in ("bound", "evaluate") and not args.out:
             raise ConfigError(f"{args.command} needs --out")
         return COMMANDS[args.command](cfg, args)
+    # ModelFileError is a ValueError, so the runtime clause goes first.
+    except (mlp.ModelFileError, mlp.FilterStarvationError, FloatingPointError,
+            RuntimeError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (mlp.FilterStarvationError, FloatingPointError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

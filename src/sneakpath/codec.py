@@ -112,13 +112,6 @@ class CodecConfig:
 
 
 @dataclass
-class EncodedSubArray:
-    bits: np.ndarray
-    weight: int
-    chosen_index: int
-
-
-@dataclass
 class EncodedArray:
     bits: np.ndarray
     weights: list[int] = field(default_factory=list)
@@ -240,71 +233,44 @@ def score_candidates(candidates: np.ndarray, criterion: Criterion) -> np.ndarray
     return (paths * (1 - c)).sum(axis=(1, 2))
 
 
-def encode_subarray(user_bits: np.ndarray, cfg: CodecConfig) -> EncodedSubArray:
-    """Encode one M x M sub-array, selecting the best-scoring candidate."""
-    cands = candidate_set(user_bits, cfg)
-    scores = score_candidates(cands, cfg.criterion)
-    chosen = int(np.argmin(scores))  # argmin ties break on smallest index
-    bits = cands[chosen]
-    return EncodedSubArray(bits=bits, weight=int(bits.sum()), chosen_index=chosen)
-
-
-def decode_subarray(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Recover the user bits of one encoded sub-array."""
-    bits = np.asarray(bits)
-    if bits.shape != (cfg.m, cfg.m):
-        raise ValueError("sub-array dimensions do not match config")
-    return descramble(bits, cfg.poly).reshape(-1)[: cfg.user_bits].copy()
-
-
 def payload_length(cfg: CodecConfig, n: int) -> int:
     if n % cfg.m != 0:
         raise ValueError("array side must be a multiple of the sub-array side")
     return (n // cfg.m) ** 2 * cfg.user_bits
 
 
+def _tiles(bits: np.ndarray, m: int) -> np.ndarray:
+    """(N/m, N/m, m, m) view of an N x N array's row-major M x M tiles."""
+    n = bits.shape[0]
+    if bits.shape != (n, n) or n % m != 0:
+        raise ValueError("array side must be a multiple of the tile side")
+    return bits.reshape(n // m, m, n // m, m).swapaxes(1, 2)
+
+
 def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
-    """Encode a payload into an N x N array of row-major M x M tiles."""
+    """Encode a payload into an N x N array of row-major M x M tiles (one tile if n == m)."""
     payload = np.asarray(payload).reshape(-1)
     if payload.size != payload_length(cfg, n):
         raise ValueError(f"expected payload of {payload_length(cfg, n)} bits, got {payload.size}")
-    k = n // cfg.m
-    bits = np.zeros((n, n), dtype=np.int64)
-    out = EncodedArray(bits=bits)
-    pos = 0
-    for ti in range(k):
-        for tj in range(k):
-            sub = encode_subarray(payload[pos : pos + cfg.user_bits], cfg)
-            pos += cfg.user_bits
-            bits[ti * cfg.m : (ti + 1) * cfg.m, tj * cfg.m : (tj + 1) * cfg.m] = sub.bits
-            out.weights.append(sub.weight)
-            out.chosen_indices.append(sub.chosen_index)
+    out = EncodedArray(bits=np.zeros((n, n), dtype=np.int64))
+    tiles = _tiles(out.bits, cfg.m)  # writes through to out.bits
+    for t, user in enumerate(payload.reshape(-1, cfg.user_bits)):
+        cands = candidate_set(user, cfg)
+        chosen = int(np.argmin(score_candidates(cands, cfg.criterion)))  # ties: smallest index
+        tiles[divmod(t, len(tiles))] = cands[chosen]
+        out.weights.append(int(cands[chosen].sum()))
+        out.chosen_indices.append(chosen)
     return out
 
 
 def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Decode an N x N array back into its payload bits."""
-    bits = np.asarray(bits)
-    n = bits.shape[0]
-    if bits.shape != (n, n) or n % cfg.m != 0:
-        raise ValueError("array dimensions do not match config")
-    k = n // cfg.m
-    chunks = []
-    for ti in range(k):
-        for tj in range(k):
-            tile = bits[ti * cfg.m : (ti + 1) * cfg.m, tj * cfg.m : (tj + 1) * cfg.m]
-            chunks.append(decode_subarray(tile, cfg))
-    return np.concatenate(chunks)
+    """Decode an N x N array, or one M x M sub-array, back into its payload bits."""
+    streams = _tiles(np.asarray(bits), cfg.m).reshape(-1, cfg.m * cfg.m)
+    # Reverse scan in, reverse scan out, then drop each tile's augmentation bits.
+    user = descramble_stream(streams[:, ::-1], cfg.poly)[:, ::-1]
+    return user[:, : cfg.user_bits].reshape(-1)
 
 
 def tile_weights(bits: np.ndarray, m: int) -> list[int]:
     """Per-tile popcounts in row-major tile order (side-information view)."""
-    n = bits.shape[0]
-    if n % m != 0:
-        raise ValueError("array side must be a multiple of the tile side")
-    k = n // m
-    return [
-        int(bits[ti * m : (ti + 1) * m, tj * m : (tj + 1) * m].sum())
-        for ti in range(k)
-        for tj in range(k)
-    ]
+    return _tiles(bits, m).sum(axis=(2, 3)).reshape(-1).tolist()

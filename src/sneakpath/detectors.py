@@ -4,13 +4,12 @@ The read pipeline first applies a middle-point threshold detector and a
 weight comparator: each tile's detected popcount is checked against the
 weight recorded at write time.  Arrays whose tiles all match are taken
 as sneak-path-free and the threshold decisions stand; mismatching arrays
-are re-detected, either with the trained network or with a fixed
-threshold previously derived from the network's decisions.
+are re-detected by the one re-detector passed to :func:`pipeline_detect`:
+the trained network, or a fixed threshold from :func:`derive_threshold`.
 """
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
@@ -41,10 +40,6 @@ class ThresholdDetector:
     def detect(self, reads: np.ndarray) -> np.ndarray:
         # Ties (r exactly at threshold) resolve to 0 / HRS.
         return (np.asarray(reads) < self.r_th).astype(np.int64)
-
-
-def threshold_detect(reads: np.ndarray, det: ThresholdDetector) -> np.ndarray:
-    return det.detect(reads)
 
 
 @dataclass
@@ -104,25 +99,17 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
     return ThresholdSearchResult(r_th_spi=float(grid[best]), grid=grid, distances=distances)
 
 
-class DetectMode(enum.Enum):
-    DL = "dl"
-    DL_THRESHOLD = "dl_threshold"
-
-
 def pipeline_detect(reads: np.ndarray, weights: list[int], m: int, params: ChannelParams,
-                    mode: DetectMode, model=None,
+                    model=None,
                     spi_detector: ThresholdDetector | None = None) -> tuple[np.ndarray, Classification]:
-    """Composite read path: midpoint detect, classify, re-detect if affected."""
-    midpoint = ThresholdDetector.midpoint(params)
-    est = midpoint.detect(reads)
+    """Midpoint detect, classify, re-detect if affected with ``model`` xor ``spi_detector``."""
+    if (model is None) == (spi_detector is None):
+        raise ValueError("pass exactly one re-detector: a trained model or a derived threshold")
+    est = ThresholdDetector.midpoint(params).detect(reads)
     cls = classify_array(est, weights, m)
     if not cls.affected:
         return est, cls
-    if mode is DetectMode.DL:
-        if model is None:
-            raise ValueError("DL mode needs a trained model for affected arrays")
+    if model is not None:
         from .mlp import hard_decide
         return hard_decide(model, reads), cls
-    if spi_detector is None:
-        raise ValueError("DL_THRESHOLD mode needs a derived threshold detector")
     return spi_detector.detect(reads), cls

@@ -15,11 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec as gs
-from .channel import ChannelParams, random_array, transmit
-from .detectors import ThresholdDetector, classify_array
-from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
+from .analysis import MIDPOINT, Scenario, write_trial
+from .channel import ChannelParams, transmit
+from .detectors import (ThresholdDetector, ThresholdSearchResult, classify_array, default_grid,
+                        derive_threshold)
+from .rng import STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 MAGIC = b"SPMLP1"
+
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+_ADAM_BLOCK = 1 << 14  # entries per row block of an Adam update; a block stays in cache
 
 AFFECTED_ONLY = "affected_only"
 ALL = "all"
@@ -27,6 +35,10 @@ ALL = "all"
 
 class FilterStarvationError(RuntimeError):
     """Raised when the affected-array filter cannot fill the requested count."""
+
+
+class ModelFileError(ValueError):
+    """Raised when a file is not a complete model written by :func:`save`."""
 
 
 @dataclass
@@ -67,12 +79,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    ex = np.exp(-np.abs(x))  # e^-x where x >= 0, e^x below
+    # e^-|x| <= 1, so a max with (x >= 0) picks the numerator without a branch.
+    return np.maximum(ex, x >= 0) / (ex + 1.0)
 
 
 def _forward_pass(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
@@ -135,9 +145,6 @@ def backward(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[list[np.nda
 class TrainConfig:
     batch_size: int = 1024
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 30
     seed: int = 0
 
@@ -146,8 +153,6 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
 
 
 @dataclass
@@ -172,18 +177,21 @@ def adam_step(model: MlpModel, dw: list[np.ndarray], db: list[np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
     """One in-place Adam update with bias correction."""
     state.t += 1
-    c1 = 1.0 - cfg.beta1 ** state.t
-    c2 = 1.0 - cfg.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for i in range(model.n_layers):
         for param, grad, m, v in (
             (model.weights[i], dw[i], state.m_w[i], state.v_w[i]),
             (model.biases[i], db[i], state.m_b[i], state.v_b[i]),
         ):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * grad * grad
-            param -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            rows = max(1, _ADAM_BLOCK * len(param) // param.size)
+            for r in range(0, len(param), rows):
+                p, g, mb, vb = (a[r : r + rows] for a in (param, grad, m, v))
+                mb *= ADAM_BETA1
+                mb += (1.0 - ADAM_BETA1) * g
+                vb *= ADAM_BETA2
+                vb += (1.0 - ADAM_BETA2) * g * g
+                p -= cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -198,37 +206,29 @@ class Dataset:
 
 def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: int,
                      class_filter: str, seed: int, q: float = 0.5,
-                     normalizer: float | None = None, budget_factor: int = 200) -> Dataset:
-    """Sample (reads, stored bits) pairs through encode -> write -> read.
+                     budget_factor: int = 200) -> Dataset:
+    """Sample (reads / r0, stored bits) pairs through encode -> write -> read.
 
-    ``class_filter`` AFFECTED_ONLY keeps only arrays the weight comparator
-    flags as sneak-path-affected; the sampler gives up with
+    Attempt ``i`` writes the array of :func:`analysis.write_trial` trial
+    ``i``.  ``class_filter`` AFFECTED_ONLY keeps only arrays the weight
+    comparator flags as sneak-path-affected; the sampler gives up with
     :class:`FilterStarvationError` after ``budget_factor * count`` attempts.
-    With ``cfg`` None the arrays are uncoded Bernoulli(q) data and the side
-    information is the whole-array weight.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if class_filter not in (AFFECTED_ONLY, ALL):
         raise ValueError(f"unknown class filter {class_filter!r}")
-    norm = 1.0 / params.r0 if normalizer is None else normalizer
+    norm = 1.0 / params.r0
     midpoint = ThresholdDetector.midpoint(params)
-    tile = cfg.m if cfg is not None else params.n
+    scn = Scenario(MIDPOINT, params, codec=cfg, q=q)
     inputs = np.empty((count, params.n * params.n))
     labels = np.empty((count, params.n * params.n), dtype=np.int64)
     kept = 0
     budget = budget_factor * count
     for attempt in range(budget):
-        data_rng = derive_rng(seed, attempt, STREAM_DATA)
+        _, bits, weights, tile = write_trial(scn, seed, attempt)
         fail_rng = derive_rng(seed, attempt, STREAM_FAILURES)
         noise_rng = derive_rng(seed, attempt, STREAM_NOISE)
-        if cfg is not None:
-            payload = (data_rng.random(gs.payload_length(cfg, params.n)) < q).astype(np.int64)
-            enc = gs.encode_array(payload, cfg, params.n)
-            bits, weights = enc.bits, enc.weights
-        else:
-            bits = random_array(params.n, q, data_rng)
-            weights = [int(bits.sum())]
         _, _, reads = transmit(bits, params, fail_rng, noise_rng)
         if class_filter == AFFECTED_ONLY:
             detected = midpoint.detect(reads)
@@ -253,6 +253,17 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
             "normalizer": norm,
         },
     )
+
+
+def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecConfig | None,
+                        count: int, seed: int, q: float = 0.5,
+                        step: float = 1.0) -> ThresholdSearchResult:
+    """Threshold (r1 to r0 in ``step``) that best mimics the network on ``count``
+    sneak-path-affected arrays drawn under ``seed``."""
+    pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
+    reads = [r.reshape(params.n, params.n) for r in pool.inputs / model.normalizer]
+    hard = [hard_decide(model, r) for r in reads]
+    return derive_threshold(reads, hard, default_grid(params, step=step))
 
 
 def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[float]:
@@ -290,16 +301,25 @@ def save(model: MlpModel, path) -> None:
 
 
 def load(path) -> MlpModel:
+    """Read a model written by :func:`save`; its length must match its dims exactly."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic)")
-        (n_layers,) = struct.unpack("<I", fh.read(4))
-        dims = list(struct.unpack(f"<{n_layers + 1}I", fh.read(4 * (n_layers + 1))))
-        weights, biases = [], []
-        for i in range(n_layers):
-            w = np.frombuffer(fh.read(8 * dims[i] * dims[i + 1]), dtype="<f8")
-            weights.append(w.reshape(dims[i], dims[i + 1]).copy())
-            b = np.frombuffer(fh.read(8 * dims[i + 1]), dtype="<f8")
-            biases.append(b.copy())
-        (normalizer,) = struct.unpack("<d", fh.read(8))
-    return MlpModel(dims=dims, weights=weights, biases=biases, normalizer=normalizer)
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise ModelFileError(f"{path}: not a model file (bad magic)")
+    try:
+        (n_layers,) = struct.unpack_from("<I", data, len(MAGIC))
+        dims = list(struct.unpack_from(f"<{n_layers + 1}I", data, len(MAGIC) + 4))
+    except struct.error as exc:
+        raise ModelFileError(f"{path}: truncated model header") from exc
+    start = len(MAGIC) + 4 * (n_layers + 2)
+    expected = start + 8 * (sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:])) + 1)
+    if len(data) != expected:
+        raise ModelFileError(f"{path}: {len(data)} bytes, expected {expected} for dims {dims}")
+    flat = np.frombuffer(data, dtype="<f8", offset=start)
+    weights, biases, pos = [], [], 0
+    for d_in, d_out in zip(dims, dims[1:]):
+        weights.append(flat[pos : pos + d_in * d_out].reshape(d_in, d_out).copy())
+        pos += d_in * d_out
+        biases.append(flat[pos : pos + d_out].copy())
+        pos += d_out
+    return MlpModel(dims=dims, weights=weights, biases=biases, normalizer=float(flat[pos]))

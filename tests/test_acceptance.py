@@ -48,7 +48,7 @@ def test_c02_selected_candidate_is_optimal(record):
     suboptimal = 0
     for _ in range(1_000):
         user = (rng.random(cfg.user_bits) < 0.5).astype(np.int64)
-        chosen = count_possible_sneak_paths(gs.encode_subarray(user, cfg).bits)
+        chosen = count_possible_sneak_paths(gs.encode_array(user, cfg, cfg.m).bits)
         # Independent re-enumeration: augment and scramble every index.
         best = min(
             count_possible_sneak_paths(gs.scramble(gs.augment(user, i, cfg),
@@ -67,9 +67,9 @@ def test_c03_no_sneak_path_probability_oracle(record):
     cells = 10 ** 6
     worst_z = 0.0
     for p_f in (1e-3, 1e-2, 1e-1):
-        b = analysis.BoundInput(16, 0.5, p_f)
-        frac = analysis.simulate_nonsp_fraction(b, cells, seed=33)
-        p = analysis.p_nonsp(b)
+        params = ChannelParams(p_f=p_f)
+        frac = analysis.simulate_nonsp_fraction(params, 0.5, cells, seed=33)
+        p = analysis.p_nonsp(params, 0.5)
         z = (frac - p) / math.sqrt(p * (1.0 - p) / cells)
         worst_z = max(worst_z, abs(z))
     ok = worst_z <= 3.0

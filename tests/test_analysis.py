@@ -53,46 +53,56 @@ def exhaustive_p_nonsp(n, q, p_f):
 class TestPNonsp:
     def test_no_failures_means_probability_one(self):
         for q in (0.0, 0.3, 1.0):
-            assert analysis.p_nonsp(analysis.BoundInput(16, q, 0.0)) == pytest.approx(1.0)
+            assert analysis.p_nonsp(ChannelParams(), q) == pytest.approx(1.0)
 
     def test_certain_failure_dense_array(self):
-        assert analysis.p_nonsp(analysis.BoundInput(2, 1.0, 1.0)) == pytest.approx(0.0)
+        assert analysis.p_nonsp(ChannelParams(n=2, p_f=1.0), 1.0) == pytest.approx(0.0)
 
     @pytest.mark.parametrize("q,p_f", [(0.4, 0.3), (0.7, 0.05), (0.5, 1.0)])
     def test_matches_exhaustive_enumeration(self, q, p_f):
-        got = analysis.p_nonsp(analysis.BoundInput(3, q, p_f))
+        got = analysis.p_nonsp(ChannelParams(n=3, p_f=p_f), q)
         assert got == pytest.approx(exhaustive_p_nonsp(3, q, p_f), rel=1e-10)
 
     def test_monotone_in_pf_and_q(self):
         grid = np.linspace(0.0, 1.0, 11)
-        vals_pf = [analysis.p_nonsp(analysis.BoundInput(16, 0.5, p)) for p in grid]
+        vals_pf = [analysis.p_nonsp(ChannelParams(p_f=p), 0.5) for p in grid]
         assert all(b <= a + 1e-12 for a, b in zip(vals_pf, vals_pf[1:]))
-        vals_q = [analysis.p_nonsp(analysis.BoundInput(16, q, 1e-2)) for q in grid]
+        vals_q = [analysis.p_nonsp(ChannelParams(p_f=1e-2), q) for q in grid]
         assert all(b <= a + 1e-12 for a, b in zip(vals_q, vals_q[1:]))
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            b = analysis.BoundInput(16, rng.random(), rng.random())
-            assert 0.0 <= analysis.p_nonsp(b) <= 1.0
+            params = ChannelParams(p_f=rng.random())
+            assert 0.0 <= analysis.p_nonsp(params, rng.random()) <= 1.0
 
     def test_large_n_does_not_overflow(self):
-        v = analysis.p_nonsp(analysis.BoundInput(64, 0.5, 1e-3))
+        v = analysis.p_nonsp(ChannelParams(n=64, p_f=1e-3), 0.5)
         assert 0.0 <= v <= 1.0
+
+    def test_rejects_q_outside_unit_interval(self):
+        params = ChannelParams(sigma=30.0, p_f=1e-3)
+        for q in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                analysis.p_nonsp(params, q)
+            with pytest.raises(ValueError):
+                analysis.ber_lower_bound(params, q)
+            with pytest.raises(ValueError):
+                analysis.simulate_nonsp_fraction(params, q, 10, seed=1)
 
 
 class TestBerLowerBound:
     def test_zero_noise_limit(self):
-        assert analysis.ber_lower_bound(analysis.BoundInput(16, 0.5, 1e-3)) == 0.0
+        assert analysis.ber_lower_bound(ChannelParams(p_f=1e-3), 0.5) == 0.0
 
     def test_no_failures_reduces_to_single_term(self):
-        b = analysis.BoundInput(16, 0.5, 0.0, sigma=30.0)
         expected = analysis.q_function((1000.0 - 100.0) / 60.0)
-        assert analysis.ber_lower_bound(b) == pytest.approx(float(expected))
+        assert analysis.ber_lower_bound(ChannelParams(sigma=30.0), 0.5) == pytest.approx(
+            float(expected))
 
     def test_monotone_in_sigma(self):
         vals = [
-            analysis.ber_lower_bound(analysis.BoundInput(16, 0.5, 1e-3, sigma=s))
+            analysis.ber_lower_bound(ChannelParams(sigma=s, p_f=1e-3), 0.5)
             for s in np.linspace(1.0, 200.0, 40)
         ]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sneakpath import analysis, cli, mlp
+from sneakpath import codec as gs
+from sneakpath.channel import ChannelParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,6 +43,32 @@ class TestConfigParsing:
             cli.sweep_from(cfg)
             cli.channel_from(cfg)
 
+    def test_unknown_key_names_nearest_known_key(self, tmp_path):
+        path = write_cfg(tmp_path, "sigma_list = 30\ntrails = 5\n")
+        with pytest.raises(cli.ConfigError, match="'trails'.*'trials'"):
+            cli.parse_config(path, [])
+        with pytest.raises(cli.ConfigError, match="'sigmaa'.*'sigma'"):
+            cli.parse_config(None, ["sigmaa=3"])
+        out = str(tmp_path / "ber.csv")
+        assert cli.main(["evaluate", "--config", path, "--out", out]) == cli.EXIT_CONFIG
+        assert cli.main(["bound", "--set", "sigma_list=30", "--set", "pff=1e-3",
+                         "--out", out]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("text,coded", [
+        ("true", True), ("On", True), ("1", True), ("yes", True),
+        ("false", False), ("OFF", False), ("0", False), ("no", False),
+    ])
+    def test_boolean_spellings(self, text, coded):
+        cfg = {"coded": text, "m": "8", "l": "4"}
+        assert (cli.codec_from(cfg) is not None) == coded
+
+    def test_bad_boolean_exits_config_error(self, tmp_path):
+        path = write_cfg(tmp_path, "sigma_list = 30\ncoded = ture\nm = 8\nl = 4\n")
+        with pytest.raises(cli.ConfigError, match="'coded'"):
+            cli.codec_from(cli.parse_config(path, []))
+        out = str(tmp_path / "ber.csv")
+        assert cli.main(["evaluate", "--config", path, "--out", out]) == cli.EXIT_CONFIG
+
 
 class TestBoundCommand:
     def test_rows_match_library(self, tmp_path):
@@ -52,11 +80,25 @@ class TestBoundCommand:
         for line, sigma in zip(lines[1:], (20.0, 30.0)):
             fields = line.split(",")
             assert fields[0] == "bound"
-            expected = analysis.ber_lower_bound(analysis.BoundInput(16, 0.5, 0.0, sigma=sigma))
+            expected = analysis.ber_lower_bound(ChannelParams(sigma=sigma), 0.5)
             assert float(fields[7]) == pytest.approx(expected)
             # p_f = 0 row reduces to the single Q term
             assert expected == pytest.approx(
                 float(analysis.q_function(900.0 / (2.0 * sigma))))
+
+    def test_coded_rate_row_matches_bound_for_scenario(self, tmp_path):
+        path = write_cfg(tmp_path, "sigma = 30\npf = 1e-2\nq = 0.5\n"
+                                   "rate_list = 12/16, 8/16\nseed = 4\n")
+        out = tmp_path / "bound.csv"
+        assert cli.main(["bound", "--config", path, "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        for row, token in zip(rows, ("12/16", "8/16")):
+            m, l = cli.RATE_CONFIGS[token]
+            scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(sigma=30.0, p_f=1e-2),
+                                    codec=gs.CodecConfig.make(m, l))
+            fields = row.split(",")
+            assert float(fields[3]) == scn.rate
+            assert fields[7] == cli.fmt(analysis.bound_for_scenario(scn, 4))
 
     def test_sigma_grid_monotone(self, tmp_path):
         path = write_cfg(tmp_path, "pf = 1e-3\nsigma_list = 10,20,30,40,50,60\n")
@@ -136,6 +178,17 @@ class TestThresholdCommand:
         r_star = float(printed.split("r_th_spi=")[1].strip())
         grid = [float(l.split(",")[0]) for l in lines[1:]]
         assert distances[grid.index(r_star)] == min(distances)
+
+    @pytest.mark.parametrize("damage", ["truncate", "pad"])
+    def test_damaged_model_file_is_runtime_error(self, tmp_path, capsys, damage):
+        model_path = tmp_path / "m.mlp"
+        mlp.save(mlp.init_model(16, 1), model_path)
+        data = model_path.read_bytes()
+        model_path.write_bytes(data[:-5] if damage == "truncate" else data + b"\0" * 8)
+        path = write_cfg(tmp_path, "n = 4\nsigma = 30\npf = 1e-2\npool = 3\n")
+        code = cli.main(["threshold", "--config", path, "--model", str(model_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert str(model_path) in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path):
         path = write_cfg(tmp_path, "sigma = 30\npf = 1e-2\n")

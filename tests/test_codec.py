@@ -157,7 +157,7 @@ class TestEncode:
         rng = np.random.default_rng(1)
         for _ in range(25):
             u = (rng.random(60) < 0.5).astype(int)
-            enc = gs.encode_subarray(u, CFG)
+            enc = gs.encode_array(u, CFG, CFG.m)
             # Independent re-enumeration through the reference register.
             scores = []
             for idx in range(16):
@@ -166,26 +166,26 @@ class TestEncode:
                 scores.append(count_possible_sneak_paths(gs.deserialize(s, 8)))
             sel = count_possible_sneak_paths(enc.bits)
             assert sel == min(scores)
-            assert enc.chosen_index == scores.index(min(scores))
+            assert enc.chosen_indices == [scores.index(min(scores))]
 
     def test_min_weight_criterion(self):
         cfg = gs.CodecConfig.make(8, 4, criterion=gs.Criterion.MIN_WEIGHT)
         rng = np.random.default_rng(2)
         for _ in range(25):
             u = (rng.random(60) < 0.5).astype(int)
-            enc = gs.encode_subarray(u, cfg)
+            enc = gs.encode_array(u, cfg, cfg.m)
             weights = [
                 int(gs.scramble(gs.augment(u, idx, cfg), cfg.poly).sum()) for idx in range(16)
             ]
-            assert enc.weight == min(weights)
+            assert enc.weights == [min(weights)]
 
     def test_roundtrip_subarray(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             u = (rng.random(60) < 0.5).astype(int)
-            enc = gs.encode_subarray(u, CFG)
-            assert np.array_equal(gs.decode_subarray(enc.bits, CFG), u)
-            assert enc.weight == enc.bits.sum()
+            enc = gs.encode_array(u, CFG, CFG.m)
+            assert np.array_equal(gs.decode_array(enc.bits, CFG), u)
+            assert enc.weights == [enc.bits.sum()]
 
     def test_mnsp_beats_average(self):
         rng = np.random.default_rng(4)

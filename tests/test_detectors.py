@@ -4,7 +4,6 @@ import pytest
 from sneakpath import codec as gs
 from sneakpath.channel import ChannelParams, compute_sneak_mask, read_array
 from sneakpath.detectors import (
-    DetectMode,
     ThresholdDetector,
     classify_array,
     default_grid,
@@ -112,7 +111,6 @@ class TestPipeline:
         a = np.kron(np.eye(2, dtype=int), np.ones((4, 4), dtype=int))
         reads = read_array(a, np.zeros_like(a), PARAMS, 1)
         est, cls = pipeline_detect(reads, gs.tile_weights(a, 4), 4, PARAMS,
-                                   DetectMode.DL_THRESHOLD,
                                    spi_detector=ThresholdDetector(150.0))
         assert not cls.affected
         assert np.array_equal(est, a)
@@ -122,7 +120,6 @@ class TestPipeline:
         e = compute_sneak_mask(a, np.ones_like(a))
         reads = read_array(a, e, PARAMS, 1)
         est, cls = pipeline_detect(reads, [int(a.sum())], 2, PARAMS,
-                                   DetectMode.DL_THRESHOLD,
                                    spi_detector=ThresholdDetector(150.0))
         assert cls.affected
         assert np.array_equal(est, a)  # 150 ohm threshold resolves the 200 ohm cell
@@ -132,9 +129,10 @@ class TestPipeline:
         e = compute_sneak_mask(a, np.ones_like(a))
         reads = read_array(a, e, PARAMS, 1)
         with pytest.raises(ValueError):
-            pipeline_detect(reads, [int(a.sum())], 2, PARAMS, DetectMode.DL)
+            pipeline_detect(reads, [int(a.sum())], 2, PARAMS)
         with pytest.raises(ValueError):
-            pipeline_detect(reads, [int(a.sum())], 2, PARAMS, DetectMode.DL_THRESHOLD)
+            pipeline_detect(reads, [int(a.sum())], 2, PARAMS, model=object(),
+                            spi_detector=ThresholdDetector(150.0))
 
 
 def test_default_grid_covers_r1_to_r0():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sneakpath import codec as gs
-from sneakpath import mlp
+from sneakpath import analysis, mlp
 from sneakpath.channel import ChannelParams
 from sneakpath.detectors import ThresholdDetector, classify_array
 
@@ -47,6 +47,17 @@ class TestForward:
     def test_relu_units(self):
         assert mlp.relu(np.array([-3.0]))[0] == 0.0
         assert mlp.relu(np.array([2.0]))[0] == 2.0
+
+    def test_sigmoid_matches_two_branch_formula_exactly(self):
+        x = np.random.default_rng(5).normal(0.0, 40.0, 4096)
+        x[:10] = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 709.0, -709.0,
+                  np.inf, -np.inf]
+        pos = x >= 0
+        expected = np.empty_like(x)
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(mlp.sigmoid(x), expected)
 
     def test_matches_hand_computation(self):
         model = mlp._init_from_dims([2, 2, 2, 2], 0, 1.0)
@@ -138,16 +149,39 @@ class TestAdam:
         move = model.weights[0] - before
         assert np.allclose(move, -cfg.learning_rate, rtol=1e-6)
 
+    def test_blocked_update_matches_whole_array_update(self):
+        # 300 x 100 entries span two row blocks of the in-cache update.
+        rng = np.random.default_rng(9)
+        model = mlp.MlpModel(dims=[300, 100], weights=[rng.normal(size=(300, 100))],
+                             biases=[rng.normal(size=100)], normalizer=1.0)
+        cfg = mlp.TrainConfig(learning_rate=0.01)
+        state = mlp.AdamState.for_model(model)
+        theta = [model.weights[0].copy(), model.biases[0].copy()]
+        m = [np.zeros_like(a) for a in theta]
+        v = [np.zeros_like(a) for a in theta]
+        for t in (1, 2, 3):
+            grads = [rng.normal(size=a.shape) for a in theta]
+            mlp.adam_step(model, grads[:1], grads[1:], state, cfg)
+            c1, c2 = 1.0 - mlp.ADAM_BETA1 ** t, 1.0 - mlp.ADAM_BETA2 ** t
+            for a, g, mm, vv in zip(theta, grads, m, v):
+                mm *= mlp.ADAM_BETA1
+                mm += (1.0 - mlp.ADAM_BETA1) * g
+                vv *= mlp.ADAM_BETA2
+                vv += (1.0 - mlp.ADAM_BETA2) * g * g
+                a -= cfg.learning_rate * (mm / c1) / (np.sqrt(vv / c2) + mlp.ADAM_EPS)
+        assert np.array_equal(model.weights[0], theta[0])
+        assert np.array_equal(model.biases[0], theta[1])
+
     def test_two_iteration_scalar_trace(self):
         # Hand-stepped Adam on one parameter with gradients g1=0.5, g2=-0.25.
         cfg = mlp.TrainConfig(learning_rate=0.1)
         theta, m, v = 1.0, 0.0, 0.0
         for t, g in ((1, 0.5), (2, -0.25)):
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            mhat = m / (1 - cfg.beta1 ** t)
-            vhat = v / (1 - cfg.beta2 ** t)
-            theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            m = mlp.ADAM_BETA1 * m + (1 - mlp.ADAM_BETA1) * g
+            v = mlp.ADAM_BETA2 * v + (1 - mlp.ADAM_BETA2) * g * g
+            mhat = m / (1 - mlp.ADAM_BETA1 ** t)
+            vhat = v / (1 - mlp.ADAM_BETA2 ** t)
+            theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + mlp.ADAM_EPS)
 
         model = mlp.MlpModel(dims=[1, 1], weights=[np.array([[1.0]])],
                              biases=[np.array([0.0])], normalizer=1.0)
@@ -170,6 +204,15 @@ class TestDataset:
         assert len(ds) == 7
         assert ds.inputs.shape == (7, 256)
         assert set(np.unique(ds.labels)) <= {0, 1}
+
+    @pytest.mark.parametrize("codec", [None, gs.CodecConfig.make(8, 4)])
+    def test_arrays_are_write_trial_arrays(self, codec):
+        params = ChannelParams(sigma=30.0, p_f=1e-2)
+        ds = mlp.generate_dataset(params, codec, 6, mlp.ALL, seed=8, q=0.4)
+        scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=0.4)
+        for i, labels in enumerate(ds.labels):
+            _, bits, _, _ = analysis.write_trial(scn, 8, i)
+            assert np.array_equal(labels, bits.reshape(-1))
 
     def test_affected_only_reverified(self):
         params = ChannelParams(sigma=30.0, p_f=1e-3)
@@ -224,3 +267,14 @@ class TestPersistence:
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(ValueError):
             mlp.load(path)
+
+    def test_length_must_match_dims(self, tmp_path):
+        path = tmp_path / "det.mlp"
+        mlp.save(mlp.init_model(4, 2), path)
+        data = path.read_bytes()
+        truncated = [data[:-1], data[:-8], data[:-200], data[: len(mlp.MAGIC) + 2]]
+        padded = [data + bytes(1), data + bytes(8)]
+        for damaged in truncated + padded:
+            path.write_bytes(damaged)
+            with pytest.raises(mlp.ModelFileError, match="det.mlp"):
+                mlp.load(path)

@@ -8,7 +8,7 @@ table is needed.
 
 import numpy as np
 
-from sneakpath import CodecConfig, Criterion, count_possible_sneak_paths
+from sneakpath import CodecConfig, count_possible_sneak_paths
 from sneakpath import codec as gs
 
 cfg = CodecConfig.make(8, 4)
@@ -19,7 +19,7 @@ rng = np.random.default_rng(3)
 user = (rng.random(cfg.user_bits) < 0.5).astype(np.int64)
 
 cands = gs.candidate_set(user, cfg)
-scores = gs.score_candidates(cands, Criterion.MNSP)
+scores = gs.score_candidates(cands, cfg)
 print("\npossible-sneak-path count of each scrambled candidate:")
 print(scores)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, logsumexp, xlogy
 
 from . import codec as gs
 from .channel import ChannelParams, random_array, transmit
@@ -23,6 +22,9 @@ from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 def q_function(x):
     """Standard Gaussian tail probability Q(x)."""
+    # Imported on use: scipy.special adds ~25 MB of RSS to every process that loads it.
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
@@ -30,6 +32,8 @@ def p_nonsp(params: ChannelParams, q: float) -> float:
     """Probability that a cell has no active sneak-path configuration at '1'-density q."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
+    from scipy.special import gammaln, logsumexp, xlogy
+
     k = params.n - 1
     u = np.arange(k + 1)
     log_binom = gammaln(k + 1) - gammaln(u + 1) - gammaln(k - u + 1)

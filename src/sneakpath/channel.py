@@ -50,7 +50,7 @@ def _check_binary(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError(f"{name} must be binary")
     return a.astype(np.int64, copy=False)
 

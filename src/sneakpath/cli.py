@@ -106,6 +106,14 @@ def channel_from(cfg: dict, sigma=None, p_f=None) -> ChannelParams:
     )
 
 
+def _operating_point(cfg: dict) -> ChannelParams:
+    """The one channel point ``train`` and ``threshold`` run at; they ignore sweep axes."""
+    if "pf_list" in cfg and "pf" not in cfg:
+        raise ConfigError("train and threshold run at a single p_f: the config has pf_list "
+                          "but no pf; set one, e.g. --set pf=1e-3")
+    return channel_from(cfg)
+
+
 def codec_from(cfg: dict, rate_token: str | None = None) -> gs.CodecConfig | None:
     if rate_token is not None:
         if rate_token not in RATE_CONFIGS:
@@ -183,7 +191,7 @@ def cmd_train(cfg: dict, args) -> int:
     if args.model is None:
         raise ConfigError("train needs --model (output model path)")
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    params = channel_from(cfg)
+    params = _operating_point(cfg)
     codec = codec_from(cfg)
     count = _get(cfg, "train_count", int, 20000)
     class_filter = _get(cfg, "filter", str, mlp.AFFECTED_ONLY)
@@ -207,9 +215,10 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_threshold(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+    params = _operating_point(cfg)
     model = _load_model(args, {})
     result = mlp.calibrate_threshold(
-        model, channel_from(cfg), codec_from(cfg), _get(cfg, "pool", int, 500), seed + 1,
+        model, params, codec_from(cfg), _get(cfg, "pool", int, 500), seed + 1,
         q=_get(cfg, "q", float, 0.5), step=_get(cfg, "grid_step", float, 1.0))
     if args.out:
         lines = ["r_th,distance"] + [

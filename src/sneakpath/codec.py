@@ -11,17 +11,25 @@ The augmentation bits sit in the trailing positions of the matrix, but
 the scrambler consumes the matrix in reverse row-major order so that the
 augmentation bits enter the register first and perturb the entire
 candidate rather than only its own tail.
+
+:func:`encode_array` handles every tile of an array in one pass.  One
+GF(2) matmul scrambles each tile's index-0 word; by linearity each other
+candidate is that word xored with a fixed, cached pattern per index, so
+candidates are formed and scored in packed integer form and only the
+chosen tile per array position is unpacked.  A tile of at most
+``CODE_CELLS`` (16) cells packs into one integer code and is scored by
+lookup in a table over all its codes; a larger tile packs into one
+``uint64`` word per row and is scored from popcounts of row pairs
+(:func:`_score_rows`), so tiles up to 64 x 64 are supported.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .channel import count_possible_sneak_paths
 
 
 class Criterion(enum.Enum):
@@ -64,6 +72,10 @@ class ScramblerPoly:
         return tuple(sorted({self.degree} | {self.degree - p for p in self.taps}, reverse=True))
 
 
+# Tiles of at most this many cells are scored by lookup in a table over all
+# their codes (65,536 entries at m = 4); larger tiles are scored from row words.
+CODE_CELLS = 16
+
 # Primitive polynomials used when a config gives only the redundancy l.
 DEFAULT_POLYS = {
     4: "4,1,0",
@@ -86,6 +98,8 @@ class CodecConfig:
             raise ValueError("redundancy l must lie in 1..m^2-1")
         if self.l > 20:
             raise ValueError("l > 20 makes the candidate set unenumerable")
+        if self.m > 64:
+            raise ValueError("sub-array side must be <= 64 (one 64-bit word per row)")
 
     @classmethod
     def make(cls, m: int, l: int, poly=None, criterion: Criterion = Criterion.MNSP) -> "CodecConfig":
@@ -114,8 +128,8 @@ class CodecConfig:
 @dataclass
 class EncodedArray:
     bits: np.ndarray
-    weights: list[int] = field(default_factory=list)
-    chosen_indices: list[int] = field(default_factory=list)
+    weights: list[int]
+    chosen_indices: list[int]
 
 
 def serialize(sub: np.ndarray) -> np.ndarray:
@@ -197,40 +211,83 @@ def _index_bits(index: int, l: int) -> np.ndarray:
     return np.array([(index >> (l - 1 - j)) & 1 for j in range(l)], dtype=np.int64)
 
 
+def _scramble_words(words: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """Scramble row-major augmented tile words (last axis m*m), row-major out."""
+    return scramble_stream(words[..., ::-1], cfg.poly)[..., ::-1]
+
+
+def _cells_per_word(m: int) -> int:
+    """A tile of at most CODE_CELLS cells packs into one word, a larger one into one word per row."""
+    return m * m if m * m <= CODE_CELLS else m
+
+
+def _pack(bits: np.ndarray, m: int) -> np.ndarray:
+    """(K, m*m) row-major tile bits -> (K, words) uint64; bit c of a word is its c-th cell."""
+    width = _cells_per_word(m)
+    shifts = np.arange(width, dtype=np.uint64)
+    words = bits.astype(np.uint64).reshape(len(bits), -1, width) << shifts
+    return np.bitwise_or.reduce(words, axis=-1)
+
+
+def _unpack(words: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`_pack`: (K, words) uint64 -> (K, m, m) int64 bits."""
+    shifts = np.arange(_cells_per_word(m), dtype=np.uint64)
+    return ((words[..., None] >> shifts) & np.uint64(1)).astype(np.int64).reshape(-1, m, m)
+
+
 @lru_cache(maxsize=None)
-def _candidate_deltas(cfg: CodecConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Scrambled contribution of each augmentation bit, plus the index table.
+def _index_patterns(cfg: CodecConfig) -> np.ndarray:
+    """Packed scrambled augmentation pattern of every index, shape (2**l, words).
 
-    By GF(2) linearity every scrambled candidate is the scrambled zero-index
-    candidate xored with a subset of these per-bit patterns, so one matmul
-    expands the whole selection set.
+    By GF(2) linearity the scrambled candidate of index i is the scrambled
+    index-0 word xored with the scrambled word holding only index i's bits.
     """
-    n_bits = cfg.m * cfg.m
-    deltas = np.zeros((cfg.l, n_bits), dtype=np.int64)
-    for j in range(cfg.l):
-        impulse = np.zeros(n_bits, dtype=np.int64)
-        impulse[cfg.user_bits + j] = 1  # row-major position of augmentation bit j
-        deltas[j] = scramble_stream(serialize(impulse.reshape(cfg.m, cfg.m)), cfg.poly)
-    index_table = np.array([_index_bits(i, cfg.l) for i in range(1 << cfg.l)], dtype=np.int64)
-    return deltas, index_table
+    words = np.zeros((1 << cfg.l, cfg.m * cfg.m), dtype=np.int64)
+    words[:, cfg.user_bits:] = [_index_bits(i, cfg.l) for i in range(1 << cfg.l)]
+    return _pack(_scramble_words(words, cfg), cfg.m)
 
 
-def candidate_set(user_bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """All 2**l scrambled candidates for one user word, shape (2**l, m, m)."""
-    base = scramble_stream(serialize(augment(user_bits, 0, cfg)), cfg.poly)
-    deltas, index_table = _candidate_deltas(cfg)
-    streams = (base[None, :] + index_table @ deltas) % 2
-    return streams[:, ::-1].reshape(-1, cfg.m, cfg.m)
+def candidate_set(payload: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """Packed scrambled candidates of every tile of a payload, shape (T * 2**l, words).
+
+    Row ``t * 2**l + i`` is tile t's candidate for index i, packed as
+    :func:`_pack` lays it out.
+    """
+    user = np.asarray(payload).reshape(-1, cfg.user_bits)
+    words = np.zeros((len(user), cfg.m * cfg.m), dtype=np.int64)
+    words[:, : cfg.user_bits] = user
+    base = _pack(_scramble_words(words, cfg), cfg.m)
+    return (base[:, None, :] ^ _index_patterns(cfg)[None]).reshape(-1, base.shape[1])
 
 
-def score_candidates(candidates: np.ndarray, criterion: Criterion) -> np.ndarray:
-    """Selection score per candidate (lower is better)."""
-    c = candidates
+def _score_rows(rows: np.ndarray, criterion: Criterion) -> np.ndarray:
+    """Score (K, m) packed row words; bit v of row u is cell (u, v).
+
+    The possible-sneak-path count sums, over HRS targets (i, j), the
+    rectangles (i, v), (u, v), (u, j) of LRS cells.  Summed over v and j it
+    is sum_{i,u} G_iu * (w_u - G_iu), with G_iu = |r_i & r_u| and w_u = |r_u|.
+    """
+    w = np.bitwise_count(rows)
     if criterion is Criterion.MIN_WEIGHT:
-        return c.sum(axis=(1, 2))
-    # Possible-sneak-path count; u == i / v == j terms vanish at HRS targets.
-    paths = np.matmul(np.matmul(c, c.transpose(0, 2, 1)), c)
-    return (paths * (1 - c)).sum(axis=(1, 2))
+        return w.sum(axis=1, dtype=np.int64)
+    # G_iu <= w_u <= 64: the uint8 difference cannot wrap and each product fits int16.
+    g = np.bitwise_count(rows[:, :, None] & rows[:, None, :])
+    return np.multiply(g, w[:, None, :] - g, dtype=np.int16).sum(axis=(1, 2), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _code_scores(m: int, criterion: Criterion) -> np.ndarray:
+    """Score of every one-word tile code, by :func:`_score_rows` on its rows."""
+    codes = np.arange(1 << (m * m))[:, None]
+    rows = (codes >> (m * np.arange(m)) & ((1 << m) - 1)).astype(np.uint8)  # m <= 4
+    return _score_rows(rows, criterion)
+
+
+def score_candidates(candidates: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """Selection score (lower is better) of each packed candidate of :func:`candidate_set`."""
+    if cfg.m * cfg.m <= CODE_CELLS:
+        return _code_scores(cfg.m, cfg.criterion)[candidates[:, 0]]
+    return _score_rows(candidates, cfg.criterion)
 
 
 def payload_length(cfg: CodecConfig, n: int) -> int:
@@ -252,15 +309,15 @@ def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
     payload = np.asarray(payload).reshape(-1)
     if payload.size != payload_length(cfg, n):
         raise ValueError(f"expected payload of {payload_length(cfg, n)} bits, got {payload.size}")
-    out = EncodedArray(bits=np.zeros((n, n), dtype=np.int64))
-    tiles = _tiles(out.bits, cfg.m)  # writes through to out.bits
-    for t, user in enumerate(payload.reshape(-1, cfg.user_bits)):
-        cands = candidate_set(user, cfg)
-        chosen = int(np.argmin(score_candidates(cands, cfg.criterion)))  # ties: smallest index
-        tiles[divmod(t, len(tiles))] = cands[chosen]
-        out.weights.append(int(cands[chosen].sum()))
-        out.chosen_indices.append(chosen)
-    return out
+    cands = candidate_set(payload, cfg)
+    scores = score_candidates(cands, cfg).reshape(-1, 1 << cfg.l)
+    chosen = scores.argmin(axis=1)  # ties: smallest index
+    per_tile = cands.reshape(len(scores), 1 << cfg.l, -1)
+    tiles = _unpack(per_tile[np.arange(len(scores)), chosen], cfg.m)
+    bits = np.zeros((n, n), dtype=np.int64)
+    _tiles(bits, cfg.m)[...] = tiles.reshape(n // cfg.m, n // cfg.m, cfg.m, cfg.m)
+    return EncodedArray(bits=bits, weights=tiles.sum(axis=(1, 2)).tolist(),
+                        chosen_indices=chosen.tolist())
 
 
 def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:

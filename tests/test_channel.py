@@ -106,6 +106,27 @@ class TestSneakMask:
         with pytest.raises(ValueError):
             compute_sneak_mask(np.zeros((2, 2), dtype=int), np.zeros((3, 3), dtype=int))
 
+    @pytest.mark.parametrize("a,binary", [
+        (np.array([[0, 1], [1, 1]]), True),
+        (np.array([[False, True], [True, True]]), True),
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), True),
+        (np.array([[0, 1], [1, 1]], dtype=np.uint8), True),
+        (np.array([[0, 1], [1, 1]], dtype=object), True),
+        (np.array([["0", "1"], ["1", "1"]]), False),
+        (np.array([[0, 2], [1, 1]]), False),
+        (np.array([[0, -1], [1, 1]]), False),
+        (np.array([[0, 0.5], [1, 1]]), False),
+        (np.array([[0, np.nan], [1, 1]]), False),
+        (np.array([[0, None], [1, 1]], dtype=object), False),
+    ])
+    def test_accepts_only_zero_one_entries(self, a, binary):
+        fails = np.array([[0, 0], [0, 1]])
+        if binary:
+            assert compute_sneak_mask(a, fails).tolist() == [[1, 0], [0, 0]]
+        else:
+            with pytest.raises(ValueError, match="binary"):
+                compute_sneak_mask(a, fails)
+
     @settings(max_examples=60, deadline=None)
     @given(a=binary_matrix, fails=binary_matrix)
     def test_matches_exhaustive_enumeration(self, a, fails):

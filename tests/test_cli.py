@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,8 @@ from sneakpath import analysis, cli, mlp
 from sneakpath import codec as gs
 from sneakpath.channel import ChannelParams
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_cfg(tmp_path, text):
@@ -124,6 +129,22 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    # Digests of the coded read path's CSV, recorded before the encoder was
+    # batched over tiles; any change to encode, channel, detect or decode
+    # draws or choices shows here.
+    @pytest.mark.parametrize("criterion,digest", [
+        ("mnsp", "7b355a646fdd65b7bf7c2205230a13dfaf4401bfedabc8560a17a462e86d6d98"),
+        ("min_weight", "c9f073088f7281362f18fa38dc8f97720372391b2e08bc5fcd834e4bbae658eb"),
+    ])
+    def test_coded_rate_sweep_matches_golden_digest(self, tmp_path, criterion, digest):
+        path = write_cfg(tmp_path, "pf = 1e-2\nsigma = 30\nq = 0.5\n"
+                         "rate_list = 15/16, 14/16, 12/16, 10/16, 8/16\n"
+                         "detectors = midpoint, pipeline_threshold\nthreshold = 170\n"
+                         f"trials = 40\nseed = 6\ncriterion = {criterion}\n")
+        out = tmp_path / "ber.csv"
+        assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_missing_model_is_config_error(self, tmp_path):
         path = write_cfg(tmp_path,
                          "sigma_list = 30\npf = 1e-2\ndetectors = pipeline_dl\n"
@@ -157,6 +178,25 @@ class TestTrainCommand:
         losses = [float(l.split(",")[1]) for l in
                   (tmp_path / "m1.mlp.loss.csv").read_text().strip().splitlines()[1:]]
         assert losses[-1] < losses[0]
+
+
+class TestSinglePointCommands:
+    """``train`` and ``threshold`` run at one p_f, not along a pf_list sweep."""
+
+    @pytest.mark.parametrize("command", ["train", "threshold"])
+    def test_pf_list_without_pf_exits_config_error(self, tmp_path, capsys, command):
+        code = cli.main([command, "--config", str(CONFIG_DIR / "fig3.cfg"),
+                         "--model", str(tmp_path / "m.mlp")])
+        assert code == cli.EXIT_CONFIG
+        assert "no pf" in capsys.readouterr().err
+
+    def test_pf_override_runs(self, tmp_path):
+        model = str(tmp_path / "m.mlp")
+        sets = ["--set", "pf=1e-3", "--set", "train_count=20", "--set", "epochs=1",
+                "--set", "pool=10"]
+        for command in ("train", "threshold"):
+            assert cli.main([command, "--config", str(CONFIG_DIR / "fig3.cfg"),
+                             "--model", model, *sets]) == 0
 
 
 class TestThresholdCommand:
@@ -195,3 +235,17 @@ class TestThresholdCommand:
         code = cli.main(["threshold", "--config", path,
                          "--model", str(tmp_path / "nope.mlp")])
         assert code == cli.EXIT_CONFIG
+
+
+def test_import_and_evaluate_leave_scipy_special_unloaded(tmp_path):
+    script = ("import sys, sneakpath\n"
+              "assert 'scipy.special' not in sys.modules\n"
+              "from sneakpath.cli import main\n"
+              "assert main(['evaluate', '--set', 'sigma_list=30', '--set', 'pf=1e-2',\n"
+              f"             '--set', 'trials=3', '--out', {str(tmp_path / 'ber.csv')!r}]) == 0\n"
+              "assert 'scipy.special' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

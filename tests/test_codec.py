@@ -31,6 +31,24 @@ def reference_descramble(stream, taps):
     return np.array(out, dtype=int)
 
 
+def reference_encode(payload, cfg, n):
+    """Per-tile encoder: score every scrambled candidate matrix, keep the first minimum."""
+    tiles, weights, chosen = [], [], []
+    for user in np.asarray(payload).reshape(-1, cfg.user_bits):
+        cands = [gs.scramble(gs.augment(user, i, cfg), cfg.poly) for i in range(1 << cfg.l)]
+        if cfg.criterion is gs.Criterion.MNSP:
+            scores = [count_possible_sneak_paths(c) for c in cands]
+        else:
+            scores = [int(c.sum()) for c in cands]
+        best = scores.index(min(scores))
+        tiles.append(cands[best])
+        weights.append(int(cands[best].sum()))
+        chosen.append(best)
+    k = n // cfg.m
+    bits = np.block([[tiles[r * k + c] for c in range(k)] for r in range(k)])
+    return bits, weights, chosen
+
+
 POLY4 = gs.ScramblerPoly.from_exponents("4,1,0")
 CFG = gs.CodecConfig.make(8, 4)
 
@@ -150,6 +168,8 @@ class TestCodecConfig:
             gs.CodecConfig.make(4, 16)
         with pytest.raises(ValueError):
             gs.CodecConfig(m=8, l=21, poly=POLY4)
+        with pytest.raises(ValueError):
+            gs.CodecConfig(m=65, l=4, poly=POLY4)
 
 
 class TestEncode:
@@ -193,7 +213,7 @@ class TestEncode:
         for _ in range(300):
             u = (rng.random(60) < 0.5).astype(int)
             cands = gs.candidate_set(u, CFG)
-            scores = gs.score_candidates(cands, gs.Criterion.MNSP)
+            scores = gs.score_candidates(cands, CFG)
             sel.append(scores.min())
             avg.append(scores.mean())
         assert np.mean(sel) < np.mean(avg)
@@ -227,3 +247,38 @@ class TestEncodeArray:
     def test_roundtrip_property(self, payload):
         enc = gs.encode_array(payload, CFG, 16)
         assert np.array_equal(gs.decode_array(enc.bits, CFG), payload)
+
+
+# (m, l, n): both scoring paths (one-code tiles up to 4 x 4, row words above),
+# one and many tiles per array, and every rate the CLI offers.
+ENCODE_CASES = [(2, 1, 16), (2, 3, 12), (3, 4, 12), (4, 4, 16), (4, 6, 12), (4, 8, 16),
+                (6, 6, 12), (8, 4, 16), (8, 8, 16), (16, 4, 16), (16, 8, 16)]
+EXTRA_POLYS = {1: "1,0", 3: "3,1,0"}
+
+
+class TestPackedEncoder:
+    @pytest.mark.parametrize("criterion", list(gs.Criterion))
+    @pytest.mark.parametrize("m,l,n", ENCODE_CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_encoder(self, m, l, n, criterion, data):
+        cfg = gs.CodecConfig.make(m, l, poly=EXTRA_POLYS.get(l), criterion=criterion)
+        density = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        payload = (rng.random(gs.payload_length(cfg, n)) < density).astype(np.int64)
+        enc = gs.encode_array(payload, cfg, n)
+        bits, weights, chosen = reference_encode(payload, cfg, n)
+        assert np.array_equal(enc.bits, bits)
+        assert enc.weights == weights
+        assert enc.chosen_indices == chosen
+
+    @pytest.mark.parametrize("m,l", [(8, 4), (4, 8)])
+    def test_one_scoring_call_per_array(self, m, l, monkeypatch):
+        cfg = gs.CodecConfig.make(m, l)
+        calls = []
+        score = gs.score_candidates
+        monkeypatch.setattr(gs, "score_candidates",
+                            lambda cands, c: calls.append(len(cands)) or score(cands, c))
+        gs.encode_array(np.zeros(gs.payload_length(cfg, 16), dtype=np.int64), cfg, 16)
+        assert calls == [(16 // m) ** 2 * 2**l]

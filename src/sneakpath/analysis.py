@@ -11,6 +11,7 @@ separating the parasitic HRS level from LRS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,6 +111,8 @@ class Scenario:
             raise ValueError(f"{self.detector} needs a trained model")
         if self.detector == PIPELINE_THRESHOLD and self.spi_detector is None:
             raise ValueError("pipeline_threshold needs a derived threshold")
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError("q must lie in [0, 1]")
         if self.codec is not None and self.params.n % self.codec.m != 0:
             raise ValueError("array side must be a multiple of the sub-array side")
 
@@ -137,10 +140,6 @@ class BerEstimate:
     user_errors: int = 0
     user_bits: int = 0
     trial_errors: np.ndarray | None = None
-
-    @property
-    def user_ber(self) -> float:
-        return self.user_errors / self.user_bits if self.user_bits else 0.0
 
 
 def binomial_ci95(errors: int, cells: int) -> float:
@@ -190,19 +189,30 @@ def write_trial(scn: Scenario, master_seed: int, trial: int):
         enc = gs.encode_array(payload, scn.codec, scn.params.n)
         return payload, enc.bits, enc.weights, scn.codec.m
     bits = random_array(scn.params.n, scn.q, data_rng)
-    return None, bits, [int(bits.sum())], scn.params.n
+    return None, bits, np.array([bits.sum()]), scn.params.n
 
 
-def detect_trial(scn: Scenario, reads: np.ndarray, weights: list[int], tile: int) -> np.ndarray:
+def simulate_trial(scn: Scenario, master_seed: int, trial: int):
+    """Write one trial's array and pass it through the channel.
+
+    The one place a trial's data, failure and noise streams are drawn;
+    returns (payload, bits, weights, tile, reads).
+    """
+    payload, bits, weights, tile = write_trial(scn, master_seed, trial)
+    _, _, reads = transmit(bits, scn.params, derive_rng(master_seed, trial, STREAM_FAILURES),
+                           derive_rng(master_seed, trial, STREAM_NOISE))
+    return payload, bits, weights, tile, reads
+
+
+def detect_trial(scn: Scenario, reads: np.ndarray, weights: np.ndarray, tile: int) -> np.ndarray:
     if scn.detector == MIDPOINT:
         return ThresholdDetector.midpoint(scn.params).detect(reads)
+    from .mlp import hard_decide
     if scn.detector == MLP_ALL:
-        from .mlp import hard_decide
         return hard_decide(scn.model, reads)
-    dl = scn.detector == PIPELINE_DL
-    est, _ = pipeline_detect(reads, weights, tile, scn.params, model=scn.model if dl else None,
-                             spi_detector=None if dl else scn.spi_detector)
-    return est
+    redetect = (partial(hard_decide, scn.model) if scn.detector == PIPELINE_DL
+                else scn.spi_detector.detect)
+    return pipeline_detect(reads, weights, tile, scn.params, redetect)[0]
 
 
 def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
@@ -215,10 +225,7 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
     user_bits = 0
     trial_errors = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
-        payload, bits, weights, tile = write_trial(scn, master_seed, trial)
-        fail_rng = derive_rng(master_seed, trial, STREAM_FAILURES)
-        noise_rng = derive_rng(master_seed, trial, STREAM_NOISE)
-        _, _, reads = transmit(bits, scn.params, fail_rng, noise_rng)
+        payload, bits, weights, tile, reads = simulate_trial(scn, master_seed, trial)
         est = detect_trial(scn, reads, weights, tile)
         trial_errors[trial] = int((est != bits).sum())
         errors += int(trial_errors[trial])

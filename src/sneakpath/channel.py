@@ -6,6 +6,9 @@ Reading an HRS cell (i, j) is corrupted when some rectangle
 (i, v), (u, v), (u, j) of LRS cells exists with a failed selector at the
 diagonal cell (u, v); the parasitic branch ``r_sp`` then appears in
 parallel with ``r0``.  Additive Gaussian noise models everything else.
+
+Every sampling function takes a ``np.random.Generator``; which stream a
+trial draws from is decided by :func:`analysis.simulate_trial` alone.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,16 @@ def _check_binary(a: np.ndarray, name: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def random_array(n: int, q: float, rng_or_seed) -> np.ndarray:
+def random_array(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Sample an n x n data array with i.i.d. Bernoulli(q) entries."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    rng = _as_rng(rng_or_seed, STREAM_DATA)
     return (rng.random((n, n)) < q).astype(np.int64)
 
 
-def sample_failures(params: ChannelParams, rng_or_seed) -> np.ndarray:
+def sample_failures(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """Sample the selector failure mask, i.i.d. Bernoulli(p_f) per cell."""
-    rng = _as_rng(rng_or_seed, STREAM_FAILURES)
     return (rng.random((params.n, params.n)) < params.p_f).astype(np.int64)
-
-
-def _as_rng(rng_or_seed, stream: int) -> np.random.Generator:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return derive_rng(int(rng_or_seed), 0, stream)
 
 
 def count_active_configs(a: np.ndarray, fails: np.ndarray) -> np.ndarray:
@@ -114,7 +107,8 @@ def count_possible_sneak_paths(a: np.ndarray) -> int:
     return int(((a @ a.T @ a) * (1 - a)).sum())
 
 
-def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams, rng_or_seed) -> np.ndarray:
+def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams,
+               rng: np.random.Generator) -> np.ndarray:
     """Measured resistances per Eq-style readout: nominal value plus noise."""
     a = _check_binary(a, "cell array")
     e = _check_binary(e, "sneak mask")
@@ -123,7 +117,6 @@ def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams, rng_or_seed)
     nominal = np.where(a == 1, params.r1, np.where(e == 1, params.r0_sp, params.r0))
     if params.sigma == 0.0:
         return nominal.astype(np.float64)
-    rng = _as_rng(rng_or_seed, STREAM_NOISE)
     return nominal + rng.normal(0.0, params.sigma, a.shape)
 
 

@@ -108,9 +108,10 @@ def channel_from(cfg: dict, sigma=None, p_f=None) -> ChannelParams:
 
 def _operating_point(cfg: dict) -> ChannelParams:
     """The one channel point ``train`` and ``threshold`` run at; they ignore sweep axes."""
-    if "pf_list" in cfg and "pf" not in cfg:
-        raise ConfigError("train and threshold run at a single p_f: the config has pf_list "
-                          "but no pf; set one, e.g. --set pf=1e-3")
+    for key, example in (("sigma", "30"), ("pf", "1e-3")):
+        if f"{key}_list" in cfg and key not in cfg:
+            raise ConfigError(f"train and threshold run at a single {key}: the config has "
+                              f"{key}_list but no {key}; set one, e.g. --set {key}={example}")
     return channel_from(cfg)
 
 
@@ -173,7 +174,7 @@ def write_rows(out: str, rows: list[str]) -> None:
 # --- commands ------------------------------------------------------------
 
 def cmd_bound(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", int, 0)
     q = _get(cfg, "q", float, 0.5)
     rows = []
     for params, codec in sweep_points(cfg):
@@ -190,20 +191,20 @@ def cmd_bound(cfg: dict, args) -> int:
 def cmd_train(cfg: dict, args) -> int:
     if args.model is None:
         raise ConfigError("train needs --model (output model path)")
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", int, 0)
     params = _operating_point(cfg)
     codec = codec_from(cfg)
     count = _get(cfg, "train_count", int, 20000)
     class_filter = _get(cfg, "filter", str, mlp.AFFECTED_ONLY)
-    dataset = mlp.generate_dataset(params, codec, count, class_filter, seed,
-                                   q=_get(cfg, "q", float, 0.5))
-    model = mlp.init_model(params.n * params.n, seed, normalizer=1.0 / params.r0)
     tc = mlp.TrainConfig(
         batch_size=_get(cfg, "batch_size", int, 4 * params.n * params.n),
         learning_rate=_get(cfg, "lr", float, 1e-3),
         epochs=_get(cfg, "epochs", int, 30),
         seed=seed,
     )
+    dataset = mlp.generate_dataset(params, codec, count, class_filter, seed,
+                                   q=_get(cfg, "q", float, 0.5))
+    model = mlp.init_model(params.n * params.n, seed, normalizer=1.0 / params.r0)
     trace = mlp.train(model, dataset, tc)
     mlp.save(model, args.model)
     if args.out:
@@ -214,7 +215,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_threshold(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", int, 0)
     params = _operating_point(cfg)
     model = _load_model(args, {})
     result = mlp.calibrate_threshold(
@@ -231,16 +232,12 @@ def cmd_threshold(cfg: dict, args) -> int:
 
 def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                    model_cache: dict) -> analysis.Scenario:
-    q = _get(cfg, "q", float, 0.5)
-    model = None
-    spi = None
-    if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL):
-        model = _load_model(args, model_cache)
-    if detector == analysis.PIPELINE_THRESHOLD:
-        r_th = _get(cfg, "threshold", float)
-        spi = detectors.ThresholdDetector.checked(r_th, params)
-    return analysis.Scenario(detector, params, codec=codec, q=q, model=model,
-                             spi_detector=spi)
+    model = (_load_model(args, model_cache)
+             if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL) else None)
+    spi = (detectors.ThresholdDetector.checked(_get(cfg, "threshold", float), params)
+           if detector == analysis.PIPELINE_THRESHOLD else None)
+    return analysis.Scenario(detector, params, codec=codec, q=_get(cfg, "q", float, 0.5),
+                             model=model, spi_detector=spi)
 
 
 def _load_model(args, cache: dict):
@@ -252,17 +249,15 @@ def _load_model(args, cache: dict):
 
 
 def cmd_evaluate(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    trials = args.trials if args.trials is not None else _get(cfg, "trials", int, 1000)
+    seed = _get(cfg, "seed", int, 0)
+    trials = _get(cfg, "trials", int, 1000)
     detector_set = [tok.strip() for tok in _get(cfg, "detectors", str, "midpoint").split(",")]
     model_cache: dict = {}
-    rows = []
-    for params, codec in sweep_points(cfg):
-        for detector in detector_set:
-            scn = build_scenario(detector, params, codec, cfg, args, model_cache)
-            est = analysis.estimate_ber(scn, trials, seed)
-            rows.append(estimate_row(est))
-    write_rows(args.out, rows)
+    # Every scenario is built, and so checked, before the first trial runs.
+    scenarios = [build_scenario(detector, params, codec, cfg, args, model_cache)
+                 for params, codec in sweep_points(cfg) for detector in detector_set]
+    write_rows(args.out, [estimate_row(analysis.estimate_ber(scn, trials, seed))
+                          for scn in scenarios])
     return 0
 
 
@@ -290,8 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # --seed and --trials act as --set overrides given last, so they win.
+    flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("trials", args.trials))
+             if value is not None]
     try:
-        cfg = parse_config(args.config, args.overrides)
+        cfg = parse_config(args.config, args.overrides + flags)
         if args.command in ("bound", "evaluate") and not args.out:
             raise ConfigError(f"{args.command} needs --out")
         return COMMANDS[args.command](cfg, args)

@@ -10,7 +10,9 @@ minimum-weight criterion is kept as the in-repo baseline.
 The augmentation bits sit in the trailing positions of the matrix, but
 the scrambler consumes the matrix in reverse row-major order so that the
 augmentation bits enter the register first and perturb the entire
-candidate rather than only its own tail.
+candidate rather than only its own tail.  That scan order lives in one
+helper, :func:`_scan`, behind :func:`scramble` and :func:`descramble`,
+which take one M x M tile or a ``(..., M, M)`` stack of them.
 
 :func:`encode_array` handles every tile of an array in one pass.  One
 GF(2) matmul scrambles each tile's index-0 word; by linearity each other
@@ -116,11 +118,6 @@ class CodecConfig:
         return self.m * self.m - self.l
 
     @property
-    def t(self) -> int:
-        """User bits remaining in the last matrix row."""
-        return (self.m * self.m - self.l) % self.m
-
-    @property
     def rate(self) -> float:
         return (self.m * self.m - self.l) / (self.m * self.m)
 
@@ -128,22 +125,8 @@ class CodecConfig:
 @dataclass
 class EncodedArray:
     bits: np.ndarray
-    weights: list[int]
-    chosen_indices: list[int]
-
-
-def serialize(sub: np.ndarray) -> np.ndarray:
-    """Matrix -> scrambler input stream (reverse row-major scan)."""
-    sub = np.asarray(sub)
-    return sub.reshape(-1)[::-1].copy()
-
-
-def deserialize(stream: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of :func:`serialize`."""
-    stream = np.asarray(stream)
-    if stream.size != m * m:
-        raise ValueError("stream length does not match matrix size")
-    return stream[::-1].reshape(m, m).copy()
+    weights: np.ndarray  # int64 popcount per tile, row-major tile order
+    chosen_indices: np.ndarray  # int64 augmentation index per tile
 
 
 @lru_cache(maxsize=None)
@@ -183,16 +166,21 @@ def descramble_stream(streams: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
     return np.asarray(streams) @ _descramble_matrix(poly.taps, length) % 2
 
 
-def scramble(candidate: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
-    """Scramble an M x M candidate matrix."""
-    m = candidate.shape[0]
-    return deserialize(scramble_stream(serialize(candidate), poly), m)
+def _scan(tiles: np.ndarray, through, poly: ScramblerPoly) -> np.ndarray:
+    """Feed (..., M, M) tiles to ``through`` in reverse row-major order and lay the output back."""
+    tiles = np.asarray(tiles)
+    streams = tiles.reshape(*tiles.shape[:-2], -1)[..., ::-1]
+    return through(streams, poly)[..., ::-1].reshape(tiles.shape)
 
 
-def descramble(s: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
+def scramble(tiles: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
+    """Scramble one M x M tile or a (..., M, M) stack of tiles."""
+    return _scan(tiles, scramble_stream, poly)
+
+
+def descramble(tiles: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
     """Invert :func:`scramble`."""
-    m = s.shape[0]
-    return deserialize(descramble_stream(serialize(s), poly), m)
+    return _scan(tiles, descramble_stream, poly)
 
 
 def augment(user_bits: np.ndarray, index: int, cfg: CodecConfig) -> np.ndarray:
@@ -211,18 +199,13 @@ def _index_bits(index: int, l: int) -> np.ndarray:
     return np.array([(index >> (l - 1 - j)) & 1 for j in range(l)], dtype=np.int64)
 
 
-def _scramble_words(words: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Scramble row-major augmented tile words (last axis m*m), row-major out."""
-    return scramble_stream(words[..., ::-1], cfg.poly)[..., ::-1]
-
-
 def _cells_per_word(m: int) -> int:
     """A tile of at most CODE_CELLS cells packs into one word, a larger one into one word per row."""
     return m * m if m * m <= CODE_CELLS else m
 
 
 def _pack(bits: np.ndarray, m: int) -> np.ndarray:
-    """(K, m*m) row-major tile bits -> (K, words) uint64; bit c of a word is its c-th cell."""
+    """(K, m, m) tile bits -> (K, words) uint64; bit c of a word is the tile's c-th cell."""
     width = _cells_per_word(m)
     shifts = np.arange(width, dtype=np.uint64)
     words = bits.astype(np.uint64).reshape(len(bits), -1, width) << shifts
@@ -244,7 +227,7 @@ def _index_patterns(cfg: CodecConfig) -> np.ndarray:
     """
     words = np.zeros((1 << cfg.l, cfg.m * cfg.m), dtype=np.int64)
     words[:, cfg.user_bits:] = [_index_bits(i, cfg.l) for i in range(1 << cfg.l)]
-    return _pack(_scramble_words(words, cfg), cfg.m)
+    return _pack(scramble(words.reshape(-1, cfg.m, cfg.m), cfg.poly), cfg.m)
 
 
 def candidate_set(payload: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -256,7 +239,7 @@ def candidate_set(payload: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     user = np.asarray(payload).reshape(-1, cfg.user_bits)
     words = np.zeros((len(user), cfg.m * cfg.m), dtype=np.int64)
     words[:, : cfg.user_bits] = user
-    base = _pack(_scramble_words(words, cfg), cfg.m)
+    base = _pack(scramble(words.reshape(-1, cfg.m, cfg.m), cfg.poly), cfg.m)
     return (base[:, None, :] ^ _index_patterns(cfg)[None]).reshape(-1, base.shape[1])
 
 
@@ -316,18 +299,15 @@ def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
     tiles = _unpack(per_tile[np.arange(len(scores)), chosen], cfg.m)
     bits = np.zeros((n, n), dtype=np.int64)
     _tiles(bits, cfg.m)[...] = tiles.reshape(n // cfg.m, n // cfg.m, cfg.m, cfg.m)
-    return EncodedArray(bits=bits, weights=tiles.sum(axis=(1, 2)).tolist(),
-                        chosen_indices=chosen.tolist())
+    return EncodedArray(bits=bits, weights=tiles.sum(axis=(1, 2)), chosen_indices=chosen)
 
 
 def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """Decode an N x N array, or one M x M sub-array, back into its payload bits."""
-    streams = _tiles(np.asarray(bits), cfg.m).reshape(-1, cfg.m * cfg.m)
-    # Reverse scan in, reverse scan out, then drop each tile's augmentation bits.
-    user = descramble_stream(streams[:, ::-1], cfg.poly)[:, ::-1]
-    return user[:, : cfg.user_bits].reshape(-1)
+    words = descramble(_tiles(np.asarray(bits), cfg.m), cfg.poly).reshape(-1, cfg.m * cfg.m)
+    return words[:, : cfg.user_bits].reshape(-1)  # drop each tile's augmentation bits
 
 
-def tile_weights(bits: np.ndarray, m: int) -> list[int]:
+def tile_weights(bits: np.ndarray, m: int) -> np.ndarray:
     """Per-tile popcounts in row-major tile order (side-information view)."""
-    return _tiles(bits, m).sum(axis=(2, 3)).reshape(-1).tolist()
+    return _tiles(bits, m).sum(axis=(2, 3)).reshape(-1)

@@ -4,13 +4,13 @@ The read pipeline first applies a middle-point threshold detector and a
 weight comparator: each tile's detected popcount is checked against the
 weight recorded at write time.  Arrays whose tiles all match are taken
 as sneak-path-free and the threshold decisions stand; mismatching arrays
-are re-detected by the one re-detector passed to :func:`pipeline_detect`:
-the trained network, or a fixed threshold from :func:`derive_threshold`.
+are re-detected by the one re-detector passed to :func:`pipeline_detect`,
+a function from reads to bits: the trained network, or a fixed threshold
+from :func:`derive_threshold`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +32,7 @@ class ThresholdDetector:
     @classmethod
     def checked(cls, r_th: float, params: ChannelParams) -> "ThresholdDetector":
         if not params.r1 < r_th < params.r0:
-            warnings.warn(
-                f"threshold {r_th} outside the sensible range "
-                f"({params.r1}, {params.r0})", stacklevel=2)
+            raise ValueError(f"threshold {r_th} outside ({params.r1}, {params.r0})")
         return cls(r_th)
 
     def detect(self, reads: np.ndarray) -> np.ndarray:
@@ -45,20 +43,15 @@ class ThresholdDetector:
 @dataclass
 class Classification:
     affected: bool
-    tile_mismatch: list[bool]
-
-    @property
-    def verdict(self) -> str:
-        return "SNEAK_PATH_AFFECTED" if self.affected else "SNEAK_PATH_FREE"
 
 
-def classify_array(detected: np.ndarray, weights: list[int], m: int) -> Classification:
+def classify_array(detected: np.ndarray, weights, m: int) -> Classification:
     """Weight-comparator verdict: any tile popcount mismatch flags the array."""
     got = tile_weights(detected, m)
-    if len(got) != len(weights):
-        raise ValueError(f"expected {len(got)} tile weights, got {len(weights)}")
-    flags = [g != w for g, w in zip(got, weights)]
-    return Classification(affected=any(flags), tile_mismatch=flags)
+    weights = np.asarray(weights)
+    if got.shape != weights.shape:
+        raise ValueError(f"expected {got.size} tile weights, got shape {weights.shape}")
+    return Classification(affected=bool(np.count_nonzero(got != weights)))
 
 
 @dataclass
@@ -99,17 +92,9 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
     return ThresholdSearchResult(r_th_spi=float(grid[best]), grid=grid, distances=distances)
 
 
-def pipeline_detect(reads: np.ndarray, weights: list[int], m: int, params: ChannelParams,
-                    model=None,
-                    spi_detector: ThresholdDetector | None = None) -> tuple[np.ndarray, Classification]:
-    """Midpoint detect, classify, re-detect if affected with ``model`` xor ``spi_detector``."""
-    if (model is None) == (spi_detector is None):
-        raise ValueError("pass exactly one re-detector: a trained model or a derived threshold")
+def pipeline_detect(reads: np.ndarray, weights, m: int, params: ChannelParams,
+                    redetect) -> tuple[np.ndarray, Classification]:
+    """Midpoint detect and classify; a flagged array is re-detected as ``redetect(reads)``."""
     est = ThresholdDetector.midpoint(params).detect(reads)
     cls = classify_array(est, weights, m)
-    if not cls.affected:
-        return est, cls
-    if model is not None:
-        from .mlp import hard_decide
-        return hard_decide(model, reads), cls
-    return spi_detector.detect(reads), cls
+    return (redetect(reads) if cls.affected else est), cls

@@ -10,16 +10,18 @@ Training is plain mini-batch Adam on mean binary cross-entropy, all in
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec as gs
-from .analysis import MIDPOINT, Scenario, write_trial
-from .channel import ChannelParams, transmit
+from .analysis import MIDPOINT, Scenario, simulate_trial
+# transmit and derive_rng are unused here, but stay bound for
+# bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_it.
+from .channel import ChannelParams, transmit  # noqa: F401
 from .detectors import (ThresholdDetector, ThresholdSearchResult, classify_array, default_grid,
                         derive_threshold)
-from .rng import STREAM_FAILURES, STREAM_NOISE, derive_rng
+from .rng import derive_rng  # noqa: F401
 
 MAGIC = b"SPMLP1"
 
@@ -31,6 +33,7 @@ _ADAM_BLOCK = 1 << 14  # entries per row block of an Adam update; a block stays 
 
 AFFECTED_ONLY = "affected_only"
 ALL = "all"
+DATASET_BUDGET = 200  # attempts per requested array before the filter gives up
 
 
 class FilterStarvationError(RuntimeError):
@@ -153,6 +156,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -198,21 +203,19 @@ def adam_step(model: MlpModel, dw: list[np.ndarray], db: list[np.ndarray],
 class Dataset:
     inputs: np.ndarray  # (count, N^2), already normalized
     labels: np.ndarray  # (count, N^2) binary
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
 
 def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: int,
-                     class_filter: str, seed: int, q: float = 0.5,
-                     budget_factor: int = 200) -> Dataset:
+                     class_filter: str, seed: int, q: float = 0.5) -> Dataset:
     """Sample (reads / r0, stored bits) pairs through encode -> write -> read.
 
-    Attempt ``i`` writes the array of :func:`analysis.write_trial` trial
-    ``i``.  ``class_filter`` AFFECTED_ONLY keeps only arrays the weight
-    comparator flags as sneak-path-affected; the sampler gives up with
-    :class:`FilterStarvationError` after ``budget_factor * count`` attempts.
+    Attempt ``i`` is trial ``i`` of :func:`analysis.simulate_trial`.
+    ``class_filter`` AFFECTED_ONLY keeps only arrays the weight comparator
+    flags as sneak-path-affected; the sampler gives up with
+    :class:`FilterStarvationError` after ``DATASET_BUDGET * count`` attempts.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -224,12 +227,9 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
     inputs = np.empty((count, params.n * params.n))
     labels = np.empty((count, params.n * params.n), dtype=np.int64)
     kept = 0
-    budget = budget_factor * count
+    budget = DATASET_BUDGET * count
     for attempt in range(budget):
-        _, bits, weights, tile = write_trial(scn, seed, attempt)
-        fail_rng = derive_rng(seed, attempt, STREAM_FAILURES)
-        noise_rng = derive_rng(seed, attempt, STREAM_NOISE)
-        _, _, reads = transmit(bits, params, fail_rng, noise_rng)
+        _, bits, weights, tile, reads = simulate_trial(scn, seed, attempt)
         if class_filter == AFFECTED_ONLY:
             detected = midpoint.detect(reads)
             if not classify_array(detected, weights, tile).affected:
@@ -244,15 +244,7 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
             f"only {kept}/{count} arrays passed the {class_filter} filter "
             f"within {budget} attempts (p_f={params.p_f})"
         )
-    return Dataset(
-        inputs=inputs,
-        labels=labels,
-        provenance={
-            "sigma": params.sigma, "p_f": params.p_f, "q": q, "seed": seed,
-            "class_filter": class_filter, "coded": cfg is not None,
-            "normalizer": norm,
-        },
-    )
+    return Dataset(inputs=inputs, labels=labels)
 
 
 def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecConfig | None,

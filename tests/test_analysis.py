@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sneakpath import analysis, codec as gs
-from sneakpath.channel import ChannelParams, compute_sneak_mask, sample_failures
-from sneakpath.rng import STREAM_DATA, STREAM_FAILURES, derive_rng
+from sneakpath.channel import ChannelParams, compute_sneak_mask, sample_failures, transmit
+from sneakpath.rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 from sneakpath.channel import random_array
 
 
@@ -155,6 +157,39 @@ class TestEstimateBer:
             analysis.Scenario("nonsense", params)
         with pytest.raises(ValueError):
             analysis.estimate_ber(analysis.Scenario(analysis.MIDPOINT, params), 0, 1)
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5])
+    def test_scenario_rejects_q_outside_unit_interval(self, q):
+        for codec in (None, gs.CodecConfig.make(8, 4)):
+            with pytest.raises(ValueError, match="q must lie"):
+                analysis.Scenario(analysis.MIDPOINT, ChannelParams(), codec=codec, q=q)
+
+
+SIM_CODECS = [None, gs.CodecConfig.make(8, 4), gs.CodecConfig.make(4, 8),
+              gs.CodecConfig.make(8, 4, criterion=gs.Criterion.MIN_WEIGHT),
+              gs.CodecConfig.make(4, 8, criterion=gs.Criterion.MIN_WEIGHT)]
+
+
+class TestSimulateTrial:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**6),
+           codec=st.sampled_from(SIM_CODECS), sigma=st.sampled_from([0.0, 30.0]),
+           p_f=st.sampled_from([0.0, 1e-2, 0.2]), q=st.sampled_from([0.2, 0.5]))
+    def test_equals_write_trial_then_transmit(self, seed, trial, codec, sigma, p_f, q):
+        scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(sigma=sigma, p_f=p_f),
+                                codec=codec, q=q)
+        payload, bits, weights, tile, reads = analysis.simulate_trial(scn, seed, trial)
+        w_payload, w_bits, w_weights, w_tile = analysis.write_trial(scn, seed, trial)
+        _, _, w_reads = transmit(w_bits, scn.params, derive_rng(seed, trial, STREAM_FAILURES),
+                                 derive_rng(seed, trial, STREAM_NOISE))
+        assert (payload is None) == (codec is None)
+        if codec is not None:
+            assert np.array_equal(payload, w_payload)
+        assert np.array_equal(bits, w_bits)
+        assert np.array_equal(weights, w_weights) and weights.dtype == np.int64
+        assert tile == w_tile
+        assert np.array_equal(reads, w_reads)
+        assert weights.sum() == bits.sum()
 
 
 def test_empirical_one_density_reduced_by_coding():

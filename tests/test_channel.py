@@ -66,8 +66,9 @@ class TestChannelParams:
 
 class TestSampleFailures:
     def test_degenerate_probabilities(self):
-        assert sample_failures(ChannelParams(p_f=0.0), 1).sum() == 0
-        assert sample_failures(ChannelParams(p_f=1.0), 1).sum() == 16 * 16
+        rng = np.random.default_rng(1)
+        assert sample_failures(ChannelParams(p_f=0.0), rng).sum() == 0
+        assert sample_failures(ChannelParams(p_f=1.0), rng).sum() == 16 * 16
 
     def test_empirical_rate_matches_binomial(self):
         # 10^6 entries at p_f = 1e-3: stay within 3 binomial std-devs.
@@ -172,7 +173,7 @@ class TestReadArray:
         p = ChannelParams(**PAPER, sigma=0.0)
         a = np.array([[1, 0], [0, 0]])
         e = np.array([[0, 1], [0, 0]])
-        r = read_array(a, e, p, 1)
+        r = read_array(a, e, p, np.random.default_rng(1))
         assert r[0, 0] == 100.0
         assert r[0, 1] == 200.0
         assert r[1, 0] == 1000.0
@@ -182,21 +183,25 @@ class TestReadArray:
         rng = np.random.default_rng(0)
         a = (rng.random((8, 8)) < 0.5).astype(int)
         fails = (rng.random((8, 8)) < 0.5).astype(int)
-        r = read_array(a, compute_sneak_mask(a, fails), p, 1)
+        r = read_array(a, compute_sneak_mask(a, fails), p, rng)
         assert set(np.unique(r)) <= {100.0, 200.0, 1000.0}
 
     def test_noise_is_seed_deterministic(self):
         p = ChannelParams(**PAPER, sigma=25.0)
         a = np.ones((4, 4), dtype=int)
         e = np.zeros_like(a)
-        assert np.array_equal(read_array(a, e, p, 9), read_array(a, e, p, 9))
-        assert not np.array_equal(read_array(a, e, p, 9), read_array(a, e, p, 10))
+        def read(seed):
+            return read_array(a, e, p, np.random.default_rng(seed))
+
+        assert np.array_equal(read(9), read(9))
+        assert not np.array_equal(read(9), read(10))
 
 
 class TestRandomArray:
     def test_degenerate(self):
-        assert random_array(4, 0.0, 1).sum() == 0
-        assert random_array(4, 1.0, 1).sum() == 16
+        rng = np.random.default_rng(1)
+        assert random_array(4, 0.0, rng).sum() == 0
+        assert random_array(4, 1.0, rng).sum() == 16
 
     def test_mean_weight(self):
         # 10^4 arrays at q = 0.5: mean weight within 3 std-devs of 128.

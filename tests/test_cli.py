@@ -129,6 +129,17 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_seed_and_trials_flags_win_over_config_and_set(self, tmp_path):
+        path = write_cfg(tmp_path, "sigma_list = 30\npf = 1e-2\ntrials = 5\nseed = 1\n")
+        flagged, direct = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["evaluate", "--config", path, "--set", "seed=2", "--set", "trials=6",
+                         "--seed", "3", "--trials", "7", "--out", str(flagged)]) == 0
+        assert cli.main(["evaluate", "--config", path, "--set", "seed=3", "--set", "trials=7",
+                         "--out", str(direct)]) == 0
+        row = flagged.read_text().splitlines()[1].split(",")
+        assert (row[4], row[9]) == ("7", "3")
+        assert flagged.read_bytes() == direct.read_bytes()
+
     # Digests of the coded read path's CSV, recorded before the encoder was
     # batched over tiles; any change to encode, channel, detect or decode
     # draws or choices shows here.
@@ -181,7 +192,7 @@ class TestTrainCommand:
 
 
 class TestSinglePointCommands:
-    """``train`` and ``threshold`` run at one p_f, not along a pf_list sweep."""
+    """``train`` and ``threshold`` run at one p_f and one sigma, not along a sweep."""
 
     @pytest.mark.parametrize("command", ["train", "threshold"])
     def test_pf_list_without_pf_exits_config_error(self, tmp_path, capsys, command):
@@ -197,6 +208,48 @@ class TestSinglePointCommands:
         for command in ("train", "threshold"):
             assert cli.main([command, "--config", str(CONFIG_DIR / "fig3.cfg"),
                              "--model", model, *sets]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "threshold"])
+    def test_sigma_list_without_sigma_exits_config_error(self, tmp_path, capsys, command):
+        text = "".join(line + "\n" for line in (CONFIG_DIR / "fig2.cfg").read_text().splitlines()
+                       if not line.startswith("sigma ="))
+        # Small sizes keep a regression that trains anyway short.
+        code = cli.main([command, "--config", write_cfg(tmp_path, text),
+                         "--model", str(tmp_path / "m.mlp"), "--set", "train_count=20",
+                         "--set", "epochs=1", "--set", "pool=10"])
+        assert code == cli.EXIT_CONFIG
+        assert "no sigma" in capsys.readouterr().err
+
+    def test_fig2_trains_at_its_named_operating_point(self):
+        params = cli._operating_point(cli.parse_config(str(CONFIG_DIR / "fig2.cfg"), []))
+        assert (params.sigma, params.p_f) == (30.0, 1e-3)
+
+
+class TestOutOfRangeInputs:
+    """Out-of-range values exit 2 with one line on stderr, before any trial or sample."""
+
+    CODED = "coded = true\nm = 8\nl = 4\nsigma_list = 30\npf = 1e-2\n"
+
+    @pytest.mark.parametrize("command,text,message,work", [
+        ("evaluate", "sigma_list = 30\npf = 1e-2\ndetectors = midpoint, pipeline_threshold\n"
+         "threshold = 1700\n", "threshold 1700", (analysis, "estimate_ber")),
+        ("evaluate", CODED + "q = 1.5\n", "q must lie", (analysis, "estimate_ber")),
+        ("bound", CODED + "q = 1.5\n", "q must lie", (analysis, "bound_for_scenario")),
+        ("train", "sigma = 30\npf = 1e-2\nepochs = 0\n", "epochs", (mlp, "generate_dataset")),
+    ], ids=["threshold", "coded_q_evaluate", "coded_q_bound", "epochs"])
+    def test_exits_config_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                command, text, message, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work[1]} ran before the input was checked")
+
+        monkeypatch.setattr(*work, no_work)
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--config", write_cfg(tmp_path, text), "--out", str(out),
+                         "--model", str(tmp_path / "m.mlp")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestThresholdCommand:

@@ -12,6 +12,7 @@ from sneakpath.detectors import (
 )
 
 PARAMS = ChannelParams(sigma=0.0, p_f=0.0)
+RNG = np.random.default_rng(1)  # unused by noise-free reads
 
 
 class TestThresholdDetector:
@@ -25,9 +26,11 @@ class TestThresholdDetector:
         # exact threshold ties resolve to 0.
         assert det.detect(r).tolist() == [[1, 0], [1, 0]]
 
-    def test_out_of_range_warns(self):
-        with pytest.warns(UserWarning):
-            ThresholdDetector.checked(50.0, PARAMS)
+    def test_out_of_range_raises(self):
+        for r_th in (50.0, 100.0, 1000.0, 1700.0):
+            with pytest.raises(ValueError, match="outside"):
+                ThresholdDetector.checked(r_th, PARAMS)
+        assert ThresholdDetector.checked(170.0, PARAMS).r_th == 170.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
@@ -42,16 +45,15 @@ class TestThresholdDetector:
 class TestClassifyArray:
     def test_clean_channel_is_free(self):
         a = np.kron(np.eye(2, dtype=int), np.ones((4, 4), dtype=int))
-        reads = read_array(a, np.zeros_like(a), PARAMS, 1)
+        reads = read_array(a, np.zeros_like(a), PARAMS, RNG)
         est = ThresholdDetector.midpoint(PARAMS).detect(reads)
         cls = classify_array(est, gs.tile_weights(a, 4), 4)
         assert not cls.affected
-        assert cls.verdict == "SNEAK_PATH_FREE"
 
     def test_single_affected_cell_flags_array(self):
         a = np.array([[0, 1], [1, 1]])
         e = compute_sneak_mask(a, np.ones_like(a))
-        reads = read_array(a, e, PARAMS, 1)
+        reads = read_array(a, e, PARAMS, RNG)
         est = ThresholdDetector.midpoint(PARAMS).detect(reads)
         cls = classify_array(est, [int(a.sum())], 2)
         assert cls.affected
@@ -68,6 +70,16 @@ class TestClassifyArray:
     def test_geometry_mismatch(self):
         with pytest.raises(ValueError):
             classify_array(np.zeros((4, 4), dtype=int), [0], 2)
+        with pytest.raises(ValueError):
+            classify_array(np.zeros((4, 4), dtype=int), np.zeros((2, 2), dtype=np.int64), 2)
+
+    def test_list_and_array_weights_agree(self):
+        a = np.kron(np.eye(2, dtype=int), np.ones((2, 2), dtype=int))
+        est = a.copy()
+        est[0, 3] = 1  # one extra '1' in the top-right tile
+        for weights in ([4, 0, 0, 4], np.array([4, 0, 0, 4]), gs.tile_weights(a, 2)):
+            assert classify_array(est, weights, 2).affected
+            assert not classify_array(a, weights, 2).affected
 
 
 class TestDeriveThreshold:
@@ -109,30 +121,21 @@ class TestDeriveThreshold:
 class TestPipeline:
     def test_clean_channel_zero_errors(self):
         a = np.kron(np.eye(2, dtype=int), np.ones((4, 4), dtype=int))
-        reads = read_array(a, np.zeros_like(a), PARAMS, 1)
-        est, cls = pipeline_detect(reads, gs.tile_weights(a, 4), 4, PARAMS,
-                                   spi_detector=ThresholdDetector(150.0))
+        reads = read_array(a, np.zeros_like(a), PARAMS, RNG)
+        calls = []
+        est, cls = pipeline_detect(reads, gs.tile_weights(a, 4), 4, PARAMS, calls.append)
         assert not cls.affected
         assert np.array_equal(est, a)
+        assert calls == []  # an unflagged array is never re-detected
 
     def test_affected_array_uses_spi_threshold(self):
         a = np.array([[0, 1], [1, 1]])
         e = compute_sneak_mask(a, np.ones_like(a))
-        reads = read_array(a, e, PARAMS, 1)
+        reads = read_array(a, e, PARAMS, RNG)
         est, cls = pipeline_detect(reads, [int(a.sum())], 2, PARAMS,
-                                   spi_detector=ThresholdDetector(150.0))
+                                   ThresholdDetector(150.0).detect)
         assert cls.affected
         assert np.array_equal(est, a)  # 150 ohm threshold resolves the 200 ohm cell
-
-    def test_missing_model_or_threshold(self):
-        a = np.array([[0, 1], [1, 1]])
-        e = compute_sneak_mask(a, np.ones_like(a))
-        reads = read_array(a, e, PARAMS, 1)
-        with pytest.raises(ValueError):
-            pipeline_detect(reads, [int(a.sum())], 2, PARAMS)
-        with pytest.raises(ValueError):
-            pipeline_detect(reads, [int(a.sum())], 2, PARAMS, model=object(),
-                            spi_detector=ThresholdDetector(150.0))
 
 
 def test_default_grid_covers_r1_to_r0():

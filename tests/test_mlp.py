@@ -192,11 +192,11 @@ class TestAdam:
 
 
 class TestDataset:
-    def test_starvation_when_no_affected_arrays_exist(self):
+    def test_starvation_when_no_affected_arrays_exist(self, monkeypatch):
+        monkeypatch.setattr(mlp, "DATASET_BUDGET", 10)
         params = ChannelParams(sigma=0.0, p_f=0.0)
-        with pytest.raises(mlp.FilterStarvationError):
-            mlp.generate_dataset(params, None, 5, mlp.AFFECTED_ONLY, seed=1,
-                                 budget_factor=10)
+        with pytest.raises(mlp.FilterStarvationError, match="within 50 attempts"):
+            mlp.generate_dataset(params, None, 5, mlp.AFFECTED_ONLY, seed=1)
 
     def test_all_filter_exact_count(self):
         params = ChannelParams(sigma=0.0, p_f=0.0)
@@ -210,9 +210,11 @@ class TestDataset:
         params = ChannelParams(sigma=30.0, p_f=1e-2)
         ds = mlp.generate_dataset(params, codec, 6, mlp.ALL, seed=8, q=0.4)
         scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=0.4)
-        for i, labels in enumerate(ds.labels):
+        for i, (inputs, labels) in enumerate(zip(ds.inputs, ds.labels)):
             _, bits, _, _ = analysis.write_trial(scn, 8, i)
             assert np.array_equal(labels, bits.reshape(-1))
+            reads = analysis.simulate_trial(scn, 8, i)[-1]
+            assert np.array_equal(inputs, reads.reshape(-1) * (1.0 / params.r0))
 
     def test_affected_only_reverified(self):
         params = ChannelParams(sigma=30.0, p_f=1e-3)
@@ -220,7 +222,7 @@ class TestDataset:
         ds = mlp.generate_dataset(params, cfg, 20, mlp.AFFECTED_ONLY, seed=2)
         det = ThresholdDetector.midpoint(params)
         for x, y in zip(ds.inputs, ds.labels):
-            reads = (x / ds.provenance["normalizer"]).reshape(16, 16)
+            reads = (x / (1.0 / params.r0)).reshape(16, 16)
             est = det.detect(reads)
             weights = gs.tile_weights(y.reshape(16, 16), 8)
             assert classify_array(est, weights, 8).affected

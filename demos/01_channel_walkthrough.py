@@ -7,7 +7,7 @@ noise sits on top of everything.
 
 import numpy as np
 
-from sneakpath import (
+from sneakpath.channel import (
     ChannelParams,
     compute_sneak_mask,
     count_active_configs,

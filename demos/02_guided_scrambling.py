@@ -8,8 +8,9 @@ table is needed.
 
 import numpy as np
 
-from sneakpath import CodecConfig, count_possible_sneak_paths
 from sneakpath import codec as gs
+from sneakpath.channel import count_possible_sneak_paths
+from sneakpath.codec import CodecConfig
 
 cfg = CodecConfig.make(8, 4)
 print(f"sub-array {cfg.m}x{cfg.m}, {cfg.l} augmentation bits, "

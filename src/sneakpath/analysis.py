@@ -46,8 +46,7 @@ def p_nonsp(params: ChannelParams, q: float) -> float:
     return float(np.clip(np.exp(total), 0.0, 1.0))
 
 
-def simulate_nonsp_fraction(params: ChannelParams, q: float, cells: int, seed: int,
-                            batch: int = 20000) -> float:
+def simulate_nonsp_fraction(params: ChannelParams, q: float, cells: int, seed: int) -> float:
     """Monte Carlo estimate of the no-active-sneak-path probability.
 
     Samples one target cell per independently drawn array so the returned
@@ -59,7 +58,7 @@ def simulate_nonsp_fraction(params: ChannelParams, q: float, cells: int, seed: i
     if cells < 1:
         raise ValueError("cells must be >= 1")
     rng = np.random.default_rng(seed)
-    n = params.n
+    n, batch = params.n, 20000  # arrays drawn per vectorized batch
     clear = 0
     done = 0
     while done < cells:
@@ -131,23 +130,29 @@ class BerEstimate:
     sigma: float
     p_f: float
     rate: float
-    trials: int
     cells: int
-    errors: int
-    ber: float
-    ci95: float
     seed: int
-    user_errors: int = 0
-    user_bits: int = 0
-    trial_errors: np.ndarray | None = None
+    user_errors: int
+    user_bits: int
+    trial_errors: np.ndarray  # cell errors of each trial, in trial order
 
+    @property
+    def trials(self) -> int:
+        return len(self.trial_errors)
 
-def binomial_ci95(errors: int, cells: int) -> float:
-    """Half-width of the normal-approximation 95% interval on a proportion."""
-    if cells == 0:
-        return 0.0
-    p = errors / cells
-    return 1.96 * np.sqrt(max(p * (1.0 - p), 1.0 / cells) / cells)
+    @property
+    def errors(self) -> int:
+        return int(self.trial_errors.sum())
+
+    @property
+    def ber(self) -> float:
+        return self.errors / self.cells
+
+    @property
+    def ci95(self) -> float:
+        """Half-width of the normal-approximation 95% interval on the cell BER."""
+        p = self.ber
+        return 1.96 * np.sqrt(max(p * (1.0 - p), 1.0 / self.cells) / self.cells)
 
 
 def array_level_se(est: BerEstimate) -> float:
@@ -157,8 +162,8 @@ def array_level_se(est: BerEstimate) -> float:
     flip several cells), so the per-cell binomial error bar understates
     the true spread; the across-trial variance does not.
     """
-    if est.trial_errors is None or est.trials < 2:
-        raise ValueError("estimate carries no per-trial error counts")
+    if est.trials < 2:
+        raise ValueError("array-level error needs at least two trials")
     cells_per_trial = est.cells / est.trials
     return float(np.std(est.trial_errors, ddof=1)
                  / cells_per_trial / np.sqrt(est.trials))
@@ -219,8 +224,6 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
     """Run independent encode -> channel -> detect passes and count errors."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    errors = 0
-    cells = 0
     user_errors = 0
     user_bits = 0
     trial_errors = np.zeros(trials, dtype=np.int64)
@@ -228,17 +231,14 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
         payload, bits, weights, tile, reads = simulate_trial(scn, master_seed, trial)
         est = detect_trial(scn, reads, weights, tile)
         trial_errors[trial] = int((est != bits).sum())
-        errors += int(trial_errors[trial])
-        cells += bits.size
         if payload is not None:
             decoded = gs.decode_array(est, scn.codec)
             user_errors += int((decoded != payload).sum())
             user_bits += payload.size
     return BerEstimate(
-        detector=scn.label, sigma=scn.params.sigma, p_f=scn.params.p_f,
-        rate=scn.rate, trials=trials, cells=cells, errors=errors,
-        ber=errors / cells, ci95=binomial_ci95(errors, cells), seed=master_seed,
-        user_errors=user_errors, user_bits=user_bits, trial_errors=trial_errors,
+        detector=scn.label, sigma=scn.params.sigma, p_f=scn.params.p_f, rate=scn.rate,
+        cells=trials * scn.params.n ** 2, seed=master_seed, user_errors=user_errors,
+        user_bits=user_bits, trial_errors=trial_errors,
     )
 
 

@@ -13,6 +13,7 @@ trial draws from is decided by :func:`analysis.simulate_trial` alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class ChannelParams:
     p_f: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("channel parameters must be finite")
         if self.n < 2:
             raise ValueError("array side length must be >= 2")
         if not (self.r0 > self.r1 > 0.0):
@@ -90,9 +93,8 @@ def count_active_configs(a: np.ndarray, fails: np.ndarray) -> np.ndarray:
 
 def compute_sneak_mask(a: np.ndarray, fails: np.ndarray) -> np.ndarray:
     """Mark the HRS cells whose readout is sneak-path-affected."""
-    a = _check_binary(a, "cell array")
-    cnt = count_active_configs(a, fails)
-    return ((cnt > 0) & (a == 0)).astype(np.int64)
+    cnt = count_active_configs(a, fails)  # checks both inputs
+    return ((cnt > 0) & (np.asarray(a) == 0)).astype(np.int64)
 
 
 def count_possible_sneak_paths(a: np.ndarray) -> int:

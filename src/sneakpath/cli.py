@@ -47,7 +47,7 @@ CSV_HEADER = "detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed"
 CONFIG_KEYS = frozenset((
     "n", "r0", "r1", "r_sp", "sigma", "pf", "q", "coded", "m", "l", "poly", "criterion",
     "sigma_list", "pf_list", "rate_list", "detectors", "threshold", "trials", "seed",
-    "train_count", "filter", "batch_size", "lr", "epochs", "pool", "grid_step",
+    "train_count", "filter", "batch_size", "epochs", "pool",
 ))
 
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -119,14 +119,11 @@ def codec_from(cfg: dict, rate_token: str | None = None) -> gs.CodecConfig | Non
     if rate_token is not None:
         if rate_token not in RATE_CONFIGS:
             raise ConfigError(f"unknown rate {rate_token!r}; known: {sorted(RATE_CONFIGS)}")
-        m, l = RATE_CONFIGS[rate_token]
-        crit = gs.Criterion(_get(cfg, "criterion", str, "mnsp"))
-        return gs.CodecConfig.make(m=m, l=l, criterion=crit)
-    if not _get(cfg, "coded", bool, False):
+        (m, l), poly = RATE_CONFIGS[rate_token], None
+    elif _get(cfg, "coded", bool, False):
+        m, l, poly = _get(cfg, "m", int), _get(cfg, "l", int), cfg.get("poly")
+    else:
         return None
-    m = _get(cfg, "m", int)
-    l = _get(cfg, "l", int)
-    poly = cfg.get("poly")
     crit = gs.Criterion(_get(cfg, "criterion", str, "mnsp"))
     return gs.CodecConfig.make(m=m, l=l, poly=poly, criterion=crit)
 
@@ -167,8 +164,8 @@ def estimate_row(est: analysis.BerEstimate) -> str:
     ])
 
 
-def write_rows(out: str, rows: list[str]) -> None:
-    Path(out).write_text("\n".join([CSV_HEADER] + rows) + "\n")
+def write_rows(out: str, rows: list[str], header: str = CSV_HEADER) -> None:
+    Path(out).write_text("\n".join([header] + rows) + "\n")
 
 
 # --- commands ------------------------------------------------------------
@@ -198,7 +195,6 @@ def cmd_train(cfg: dict, args) -> int:
     class_filter = _get(cfg, "filter", str, mlp.AFFECTED_ONLY)
     tc = mlp.TrainConfig(
         batch_size=_get(cfg, "batch_size", int, 4 * params.n * params.n),
-        learning_rate=_get(cfg, "lr", float, 1e-3),
         epochs=_get(cfg, "epochs", int, 30),
         seed=seed,
     )
@@ -208,8 +204,7 @@ def cmd_train(cfg: dict, args) -> int:
     trace = mlp.train(model, dataset, tc)
     mlp.save(model, args.model)
     if args.out:
-        lines = ["epoch,loss"] + [f"{i},{fmt(loss)}" for i, loss in enumerate(trace)]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_rows(args.out, [f"{i},{fmt(loss)}" for i, loss in enumerate(trace)], "epoch,loss")
     print(f"trained {count} samples, final loss {trace[-1]:.6f}, model -> {args.model}")
     return 0
 
@@ -217,22 +212,19 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_threshold(cfg: dict, args) -> int:
     seed = _get(cfg, "seed", int, 0)
     params = _operating_point(cfg)
-    model = _load_model(args, {})
-    result = mlp.calibrate_threshold(
-        model, params, codec_from(cfg), _get(cfg, "pool", int, 500), seed + 1,
-        q=_get(cfg, "q", float, 0.5), step=_get(cfg, "grid_step", float, 1.0))
+    model = _load_model(args, {}, params.n)
+    result = mlp.calibrate_threshold(model, params, codec_from(cfg), _get(cfg, "pool", int, 500),
+                                     seed + 1, q=_get(cfg, "q", float, 0.5))
     if args.out:
-        lines = ["r_th,distance"] + [
-            f"{fmt(t)},{int(d)}" for t, d in zip(result.grid, result.distances)
-        ]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_rows(args.out, [f"{fmt(t)},{int(d)}" for t, d in zip(result.grid, result.distances)],
+                   "r_th,distance")
     print(f"r_th_spi={fmt(result.r_th_spi)}")
     return 0
 
 
 def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                    model_cache: dict) -> analysis.Scenario:
-    model = (_load_model(args, model_cache)
+    model = (_load_model(args, model_cache, params.n)
              if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL) else None)
     spi = (detectors.ThresholdDetector.checked(_get(cfg, "threshold", float), params)
            if detector == analysis.PIPELINE_THRESHOLD else None)
@@ -240,11 +232,16 @@ def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                              model=model, spi_detector=spi)
 
 
-def _load_model(args, cache: dict):
+def _load_model(args, cache: dict, n: int) -> mlp.MlpModel:
+    """The ``--model`` file, loaded once per command; it must read and write n x n arrays."""
     if "model" not in cache:
         if args.model is None or not Path(args.model).exists():
             raise ConfigError("--model must point at a trained model file")
         cache["model"] = mlp.load(args.model)
+    dims = cache["model"].dims
+    if dims[0] != n * n or dims[-1] != n * n:
+        raise ConfigError(f"model has {dims[0]} inputs and {dims[-1]} outputs; "
+                          f"the config's {n}x{n} array needs {n * n} of each")
     return cache["model"]
 
 

@@ -30,6 +30,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 14  # entries per row block of an Adam update; a block stays in cache
+BCE_CLAMP = 1e-12  # probabilities are clipped to [BCE_CLAMP, 1 - BCE_CLAMP] in the loss
 
 AFFECTED_ONLY = "affected_only"
 ALL = "all"
@@ -118,9 +119,9 @@ def hard_decide(model: MlpModel, reads: np.ndarray) -> np.ndarray:
     return (soft > 0.5).astype(np.int64).reshape(n, n)
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray, clamp: float = 1e-12) -> float:
+def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy with clamped probabilities."""
-    p = np.clip(p, clamp, 1.0 - clamp)
+    p = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
@@ -162,20 +163,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: list[np.ndarray]  # first moments, over model.weights + model.biases
+    v: list[np.ndarray]  # second moments, same order
     t: int = 0
 
     @classmethod
     def for_model(cls, model: MlpModel) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in model.weights],
-            v_w=[np.zeros_like(w) for w in model.weights],
-            m_b=[np.zeros_like(b) for b in model.biases],
-            v_b=[np.zeros_like(b) for b in model.biases],
-        )
+        params = model.weights + model.biases
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(model: MlpModel, dw: list[np.ndarray], db: list[np.ndarray],
@@ -184,19 +179,15 @@ def adam_step(model: MlpModel, dw: list[np.ndarray], db: list[np.ndarray],
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for i in range(model.n_layers):
-        for param, grad, m, v in (
-            (model.weights[i], dw[i], state.m_w[i], state.v_w[i]),
-            (model.biases[i], db[i], state.m_b[i], state.v_b[i]),
-        ):
-            rows = max(1, _ADAM_BLOCK * len(param) // param.size)
-            for r in range(0, len(param), rows):
-                p, g, mb, vb = (a[r : r + rows] for a in (param, grad, m, v))
-                mb *= ADAM_BETA1
-                mb += (1.0 - ADAM_BETA1) * g
-                vb *= ADAM_BETA2
-                vb += (1.0 - ADAM_BETA2) * g * g
-                p -= cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
+    for param, grad, m, v in zip(model.weights + model.biases, dw + db, state.m, state.v):
+        rows = max(1, _ADAM_BLOCK * len(param) // param.size)
+        for r in range(0, len(param), rows):
+            p, g, mb, vb = (a[r : r + rows] for a in (param, grad, m, v))
+            mb *= ADAM_BETA1
+            mb += (1.0 - ADAM_BETA1) * g
+            vb *= ADAM_BETA2
+            vb += (1.0 - ADAM_BETA2) * g * g
+            p -= cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -248,14 +239,13 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
 
 
 def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecConfig | None,
-                        count: int, seed: int, q: float = 0.5,
-                        step: float = 1.0) -> ThresholdSearchResult:
-    """Threshold (r1 to r0 in ``step``) that best mimics the network on ``count``
+                        count: int, seed: int, q: float = 0.5) -> ThresholdSearchResult:
+    """Threshold (r1 to r0 in 1-ohm steps) that best mimics the network on ``count``
     sneak-path-affected arrays drawn under ``seed``."""
     pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
     reads = [r.reshape(params.n, params.n) for r in pool.inputs / model.normalizer]
     hard = [hard_decide(model, r) for r in reads]
-    return derive_threshold(reads, hard, default_grid(params, step=step))
+    return derive_threshold(reads, hard, default_grid(params))
 
 
 def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[float]:
@@ -293,7 +283,8 @@ def save(model: MlpModel, path) -> None:
 
 
 def load(path) -> MlpModel:
-    """Read a model written by :func:`save`; its length must match its dims exactly."""
+    """Read a model written by :func:`save`; a length that does not match the dims, no
+    layer, a zero dim or a normalizer that is not finite and positive is a ModelFileError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(MAGIC):
@@ -303,6 +294,8 @@ def load(path) -> MlpModel:
         dims = list(struct.unpack_from(f"<{n_layers + 1}I", data, len(MAGIC) + 4))
     except struct.error as exc:
         raise ModelFileError(f"{path}: truncated model header") from exc
+    if n_layers < 1 or 0 in dims:
+        raise ModelFileError(f"{path}: dims {dims} need at least one layer and no zero size")
     start = len(MAGIC) + 4 * (n_layers + 2)
     expected = start + 8 * (sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:])) + 1)
     if len(data) != expected:
@@ -314,4 +307,6 @@ def load(path) -> MlpModel:
         pos += d_in * d_out
         biases.append(flat[pos : pos + d_out].copy())
         pos += d_out
+    if not (np.isfinite(flat[pos]) and flat[pos] > 0.0):
+        raise ModelFileError(f"{path}: input normalizer {flat[pos]} is not finite and positive")
     return MlpModel(dims=dims, weights=weights, biases=biases, normalizer=float(flat[pos]))

@@ -16,6 +16,6 @@ STREAM_FAILURES = 1
 STREAM_NOISE = 2
 
 
-def derive_rng(master_seed: int, trial: int = 0, stream: int = STREAM_DATA) -> np.random.Generator:
+def derive_rng(master_seed: int, trial: int, stream: int) -> np.random.Generator:
     """Return the generator for one (trial, stream) pair of an experiment."""
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial, stream]))

@@ -57,7 +57,8 @@ class TestChannelParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=1), dict(r0=50.0, r1=100.0), dict(r_sp=0.0),
-        dict(sigma=-1.0), dict(p_f=1.5),
+        dict(sigma=-1.0), dict(p_f=1.5), dict(sigma=np.nan), dict(sigma=np.inf),
+        dict(r0=np.inf), dict(r_sp=np.inf), dict(p_f=np.nan),
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):

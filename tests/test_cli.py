@@ -1,11 +1,14 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sneakpath import analysis, cli, mlp
 from sneakpath import codec as gs
@@ -236,7 +239,14 @@ class TestOutOfRangeInputs:
         ("evaluate", CODED + "q = 1.5\n", "q must lie", (analysis, "estimate_ber")),
         ("bound", CODED + "q = 1.5\n", "q must lie", (analysis, "bound_for_scenario")),
         ("train", "sigma = 30\npf = 1e-2\nepochs = 0\n", "epochs", (mlp, "generate_dataset")),
-    ], ids=["threshold", "coded_q_evaluate", "coded_q_bound", "epochs"])
+        ("evaluate", "sigma_list = nan\npf = 1e-3\n", "finite", (analysis, "estimate_ber")),
+        ("bound", "sigma_list = nan\npf = 1e-3\n", "finite", (analysis, "bound_for_scenario")),
+        ("evaluate", "sigma_list = 30\npf = 1e-3\nr0 = inf\n", "finite",
+         (analysis, "estimate_ber")),
+        ("evaluate", "sigma_list = 30\npf = 1e-3\nr_sp = inf\n", "finite",
+         (analysis, "estimate_ber")),
+    ], ids=["threshold", "coded_q_evaluate", "coded_q_bound", "epochs", "nan_sigma_evaluate",
+            "nan_sigma_bound", "inf_r0", "inf_r_sp"])
     def test_exits_config_error_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                 command, text, message, work):
         def no_work(*args, **kwargs):
@@ -252,11 +262,85 @@ class TestOutOfRangeInputs:
         assert not out.exists()
 
 
+def model_bytes(dims, normalizer=1e-3):
+    """A model file with the given dims, zero parameters and ``normalizer``."""
+    params = sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:]))
+    return (mlp.MAGIC + struct.pack(f"<I{len(dims)}I", len(dims) - 1, *dims)
+            + bytes(8 * params) + struct.pack("<d", normalizer))
+
+
+class TestModelFile:
+    """A model that cannot serve the config fails with one stderr line, before any work."""
+
+    def run(self, tmp_path, capsys, monkeypatch, command, data, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work[1]} ran before the model was checked")
+
+        monkeypatch.setattr(*work, no_work)
+        model_path = tmp_path / "m.mlp"
+        model_path.write_bytes(data)
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--set", "sigma_list=30", "--set", "sigma=30", "--set", "pf=0",
+                         "--set", "detectors=pipeline_dl", "--set", "trials=5",
+                         "--model", str(model_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("command,work", [
+        ("evaluate", (analysis, "estimate_ber")), ("threshold", (mlp, "generate_dataset")),
+    ])
+    @pytest.mark.parametrize("dims", [[16, 64, 32, 16], [256, 16], [16, 256]],
+                             ids=["4x4_model", "16_outputs", "16_inputs"])
+    def test_size_must_match_the_array(self, tmp_path, capsys, monkeypatch, command, work,
+                                       dims):
+        code, err = self.run(tmp_path, capsys, monkeypatch, command, model_bytes(dims), work)
+        assert code == cli.EXIT_CONFIG
+        assert f"{dims[0]} inputs and {dims[-1]} outputs" in err and "16x16" in err
+
+    @pytest.mark.parametrize("data", [
+        model_bytes([256]), model_bytes([256, 0, 256]), model_bytes([256, 256], float("nan")),
+        model_bytes([256, 256], float("inf")), model_bytes([256, 256], 0.0),
+        model_bytes([256, 256], -1e-3),
+    ], ids=["no_layer", "zero_dim", "nan_normalizer", "inf_normalizer", "zero_normalizer",
+            "negative_normalizer"])
+    def test_broken_model_is_runtime_error(self, tmp_path, capsys, monkeypatch, data):
+        code, err = self.run(tmp_path, capsys, monkeypatch, "evaluate", data,
+                             (analysis, "estimate_ber"))
+        assert code == cli.EXIT_RUNTIME and "m.mlp" in err
+
+
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "1", "-1", "2", "4", "8", "16", "30", "1e-3",
+                     "0.5", "1e308", "1e309", "true", "false", "4,1,0", "8,4,3,2,0", "15/16",
+                     "8/16", "mnsp", "min_weight", "30, nan", "1e-3, inf", ""]),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(cli.CONFIG_KEYS)), CONFIG_VALUES, max_size=8))
+def test_config_text_yields_finite_channels_or_config_errors(entries):
+    """Any config text gives ConfigError / ValueError, or only finite channel parameters."""
+    try:
+        cfg = cli.parse_config(None, [f"{key}={value}" for key, value in entries.items()])
+    except cli.ConfigError:
+        return
+    channels = []
+    for build in (lambda: channels.append(cli.channel_from(cfg)), lambda: cli.codec_from(cfg),
+                  lambda: channels.extend(params for params, _ in cli.sweep_points(cfg))):
+        try:
+            build()
+        except (cli.ConfigError, ValueError):
+            pass
+    assert all(np.isfinite(v) for params in channels for v in vars(params).values())
+
+
 class TestThresholdCommand:
     def test_report_matches_brute_force(self, tmp_path, capsys):
         cfg_text = ("sigma = 0\npf = 0.5\ntrain_count = 30\nepochs = 2\n"
-                    "batch_size = 16\nseed = 2\nfilter = all\npool = 20\n"
-                    "grid_step = 10\n")
+                    "batch_size = 16\nseed = 2\nfilter = all\npool = 20\n")
         path = write_cfg(tmp_path, cfg_text)
         model_path = tmp_path / "m.mlp"
         assert cli.main(["train", "--config", path, "--model", str(model_path)]) == 0

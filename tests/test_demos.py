@@ -1,4 +1,4 @@
-"""Smoke test: the quick demos run to completion against the current API."""
+"""Smoke test: the quick demos and README's quick start run against the current API."""
 
 import os
 import subprocess
@@ -10,11 +10,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_python(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("demo", ["01_channel_walkthrough.py", "02_guided_scrambling.py",
                                   "04_analytic_bounds.py"])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python([str(ROOT / "demos" / demo)])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """README's first ```python block, run as written, so the doc cannot drift from the API."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(["-c", block])
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,12 @@
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sneakpath import codec as gs
 from sneakpath import analysis, mlp
@@ -280,3 +287,35 @@ class TestPersistence:
             path.write_bytes(damaged)
             with pytest.raises(mlp.ModelFileError, match="det.mlp"):
                 mlp.load(path)
+
+
+def _structured_model_bytes(draw_dims, normalizer, slack):
+    """A header for ``draw_dims`` with zero parameters; ``slack`` bytes off the exact length."""
+    params = sum((d_in + 1) * d_out for d_in, d_out in zip(draw_dims, draw_dims[1:]))
+    body = bytes(max(0, 8 * params + slack))
+    return (mlp.MAGIC + struct.pack(f"<I{len(draw_dims)}I", len(draw_dims) - 1, *draw_dims)
+            + body + struct.pack("<d", normalizer))
+
+
+MODEL_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda b: mlp.MAGIC + b),
+    st.builds(_structured_model_bytes, st.lists(st.integers(0, 4), min_size=1, max_size=4),
+              st.floats(), st.sampled_from([0, 0, -1, 1, 8])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MODEL_BYTES)
+def test_load_rejects_or_returns_a_usable_model(data):
+    """Any bytes load as ModelFileError, or as a model with >= 1 layer, no zero dim and a
+    finite, positive normalizer."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.mlp"
+        path.write_bytes(data)
+        try:
+            model = mlp.load(path)
+        except mlp.ModelFileError:
+            return
+    assert model.n_layers >= 1 and min(model.dims) >= 1
+    assert math.isfinite(model.normalizer) and model.normalizer > 0.0

@@ -10,7 +10,6 @@ import numpy as np
 from sneakpath.channel import (
     ChannelParams,
     compute_sneak_mask,
-    count_active_configs,
     count_possible_sneak_paths,
     read_array,
     transmit,
@@ -33,10 +32,8 @@ print(f"possible sneak paths (any selector may fail): "
 # Fail exactly the selector at the rectangle's far corner (1, 1).
 fails = np.zeros_like(a)
 fails[1, 1] = 1
-print("\nactive sneak-path configurations per cell with selector (1,1) failed:")
-print(count_active_configs(a, fails))
 mask = compute_sneak_mask(a, fails)
-print("cells whose read is corrupted (HRS cells only):")
+print("\ncells whose read is corrupted with selector (1,1) failed (HRS cells only):")
 print(mask)
 
 # Noise-free reads make the corruption visible as a 200-ohm level.

@@ -110,6 +110,9 @@ class Scenario:
             raise ValueError(f"{self.detector} needs a trained model")
         if self.detector == PIPELINE_THRESHOLD and self.spi_detector is None:
             raise ValueError("pipeline_threshold needs a derived threshold")
+        spi, p = self.spi_detector, self.params
+        if spi is not None and not p.r1 < spi.r_th < p.r0:
+            raise ValueError(f"threshold {spi.r_th} outside ({p.r1}, {p.r0})")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
         if self.codec is not None and self.params.n % self.codec.m != 0:
@@ -217,7 +220,7 @@ def detect_trial(scn: Scenario, reads: np.ndarray, weights: np.ndarray, tile: in
         return hard_decide(scn.model, reads)
     redetect = (partial(hard_decide, scn.model) if scn.detector == PIPELINE_DL
                 else scn.spi_detector.detect)
-    return pipeline_detect(reads, weights, tile, scn.params, redetect)[0]
+    return pipeline_detect(reads, weights, tile, scn.params, redetect)
 
 
 def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:

@@ -71,30 +71,20 @@ def sample_failures(params: ChannelParams, rng: np.random.Generator) -> np.ndarr
     return (rng.random((params.n, params.n)) < params.p_f).astype(np.int64)
 
 
-def count_active_configs(a: np.ndarray, fails: np.ndarray) -> np.ndarray:
-    """Per-cell count of active sneak-path rectangles around each cell.
+def _rectangle_targets(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Count, per HRS cell (i, j), the (u, v) with A[i, v] = G[u, v] = A[u, j] = 1.
 
-    Entry (i, j) counts pairs (u, v), u != i, v != j, with
-    A[i, v] = A[u, v] = A[u, j] = 1 and a failed selector at (u, v).
-    The count ignores the state of the target cell itself, so it is also
-    the quantity behind the analytic no-sneak-path probability.
-    """
-    a = _check_binary(a, "cell array")
-    fails = _check_binary(fails, "failure mask")
-    if a.shape != fails.shape:
-        raise ValueError("cell array and failure mask dimensions differ")
-    g = a & fails  # failed LRS diagonal cells
-    full = a @ g.T @ a
-    # Remove u == i and v == j terms (double-subtracted (i,j) added back).
-    rs = g.sum(axis=1)
-    cs = g.sum(axis=0)
-    return full - a * (rs[:, None] + cs[None, :] - g)
+    The u == i and v == j terms carry the factor A[i, j] = 0; LRS cells count zero."""
+    return (a @ g.T @ a) * (1 - a)
 
 
 def compute_sneak_mask(a: np.ndarray, fails: np.ndarray) -> np.ndarray:
     """Mark the HRS cells whose readout is sneak-path-affected."""
-    cnt = count_active_configs(a, fails)  # checks both inputs
-    return ((cnt > 0) & (np.asarray(a) == 0)).astype(np.int64)
+    a = _check_binary(a, "cell array")
+    fails = _check_binary(fails, "failure mask")
+    if a.shape != fails.shape:
+        raise ValueError("cell array and failure mask dimensions differ")
+    return (_rectangle_targets(a, a & fails) > 0).astype(np.int64)  # G: failed LRS cells
 
 
 def count_possible_sneak_paths(a: np.ndarray) -> int:
@@ -105,8 +95,7 @@ def count_possible_sneak_paths(a: np.ndarray) -> int:
     ignored, so this is the quantity the constrained code minimizes.
     """
     a = _check_binary(a, "cell array")
-    # For an HRS target the u == i and v == j terms vanish on their own.
-    return int(((a @ a.T @ a) * (1 - a)).sum())
+    return int(_rectangle_targets(a, a).sum())
 
 
 def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams,

@@ -15,7 +15,8 @@ run the points of one ``sigma_list``, ``pf_list`` or ``rate_list`` sweep
 ``detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed`` and carry
 everything needed to regenerate them byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error or broken model file.
+Exit codes: 0 success, 2 configuration error, 3 runtime error, broken model file
+or failed read or write.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     entries: list[tuple[str, str]] = []  # (where, "key = value")
     if path is not None:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         for lineno, line in enumerate(p.read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -134,6 +135,8 @@ def sweep_from(cfg: dict) -> tuple[str, list]:
         raise ConfigError("exactly one of sigma_list / pf_list / rate_list is required")
     axis = axes[0]
     raw = [tok.strip() for tok in cfg[axis].split(",") if tok.strip()]
+    if not raw:
+        raise ConfigError(f"{axis} lists no values")
     if axis == "rate_list":
         return "rate", raw
     try:
@@ -226,7 +229,7 @@ def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                    model_cache: dict) -> analysis.Scenario:
     model = (_load_model(args, model_cache, params.n)
              if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL) else None)
-    spi = (detectors.ThresholdDetector.checked(_get(cfg, "threshold", float), params)
+    spi = (detectors.ThresholdDetector(_get(cfg, "threshold", float))
            if detector == analysis.PIPELINE_THRESHOLD else None)
     return analysis.Scenario(detector, params, codec=codec, q=_get(cfg, "q", float, 0.5),
                              model=model, spi_detector=spi)
@@ -235,7 +238,7 @@ def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
 def _load_model(args, cache: dict, n: int) -> mlp.MlpModel:
     """The ``--model`` file, loaded once per command; it must read and write n x n arrays."""
     if "model" not in cache:
-        if args.model is None or not Path(args.model).exists():
+        if args.model is None or not Path(args.model).is_file():
             raise ConfigError("--model must point at a trained model file")
         cache["model"] = mlp.load(args.model)
     dims = cache["model"].dims
@@ -289,10 +292,15 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, args.overrides + flags)
         if args.command in ("bound", "evaluate") and not args.out:
             raise ConfigError(f"{args.command} needs --out")
+        # Output paths are checked before dispatch, so a bad one fails before any work.
+        written = (args.out, args.model if args.command == "train" else None)
+        for path in (Path(p) for p in written if p is not None):
+            if path.is_dir() or not path.parent.is_dir():
+                raise ConfigError(f"cannot write {path}: not a file in an existing directory")
         return COMMANDS[args.command](cfg, args)
     # ModelFileError is a ValueError, so the runtime clause goes first.
     except (mlp.ModelFileError, mlp.FilterStarvationError, FloatingPointError,
-            RuntimeError) as exc:
+            RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:

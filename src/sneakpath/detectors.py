@@ -29,12 +29,6 @@ class ThresholdDetector:
     def midpoint(cls, params: ChannelParams) -> "ThresholdDetector":
         return cls((params.r0 + params.r1) / 2.0)
 
-    @classmethod
-    def checked(cls, r_th: float, params: ChannelParams) -> "ThresholdDetector":
-        if not params.r1 < r_th < params.r0:
-            raise ValueError(f"threshold {r_th} outside ({params.r1}, {params.r0})")
-        return cls(r_th)
-
     def detect(self, reads: np.ndarray) -> np.ndarray:
         # Ties (r exactly at threshold) resolve to 0 / HRS.
         return (np.asarray(reads) < self.r_th).astype(np.int64)
@@ -93,8 +87,7 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
 
 
 def pipeline_detect(reads: np.ndarray, weights, m: int, params: ChannelParams,
-                    redetect) -> tuple[np.ndarray, Classification]:
+                    redetect) -> np.ndarray:
     """Midpoint detect and classify; a flagged array is re-detected as ``redetect(reads)``."""
     est = ThresholdDetector.midpoint(params).detect(reads)
-    cls = classify_array(est, weights, m)
-    return (redetect(reads) if cls.affected else est), cls
+    return redetect(reads) if classify_array(est, weights, m).affected else est

@@ -243,7 +243,8 @@ def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecCon
     """Threshold (r1 to r0 in 1-ohm steps) that best mimics the network on ``count``
     sneak-path-affected arrays drawn under ``seed``."""
     pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
-    reads = [r.reshape(params.n, params.n) for r in pool.inputs / model.normalizer]
+    # Undo the pool's own 1/r0 scale; hard_decide applies the model's normalizer.
+    reads = [r.reshape(params.n, params.n) for r in pool.inputs / (1.0 / params.r0)]
     hard = [hard_decide(model, r) for r in reads]
     return derive_threshold(reads, hard, default_grid(params))
 

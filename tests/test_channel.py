@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from sneakpath.channel import (
     ChannelParams,
     compute_sneak_mask,
-    count_active_configs,
     count_possible_sneak_paths,
     random_array,
     read_array,
@@ -209,10 +208,3 @@ class TestRandomArray:
         weights = [random_array(16, 0.5, derive_rng(3, t, 0)).sum() for t in range(10_000)]
         sd_mean = np.sqrt(256 * 0.25 / 10_000)
         assert abs(np.mean(weights) - 128.0) < 3 * sd_mean
-
-
-def test_active_config_count_ignores_target_state():
-    # (i, j) counts rectangles regardless of A[i, j]; used by the analytic check.
-    a = np.array([[1, 1], [1, 1]])
-    fails = np.ones((2, 2), dtype=int)
-    assert (count_active_configs(a, fails) == 1).all()

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +265,68 @@ class TestOutOfRangeInputs:
         assert not out.exists()
 
 
+class TestBadPaths:
+    """A path that cannot be read or written exits 2 with one stderr line, before any work."""
+
+    @pytest.mark.parametrize("command,argv,message,work", [
+        ("evaluate", ["--out", "{missing}/x.csv"], "cannot write", (analysis, "estimate_ber")),
+        ("evaluate", ["--out", "{dir}"], "cannot write", (analysis, "estimate_ber")),
+        ("bound", ["--out", "{missing}/x.csv"], "cannot write",
+         (analysis, "bound_for_scenario")),
+        ("train", ["--model", "{missing}/det.mlp"], "cannot write", (mlp, "generate_dataset")),
+        ("train", ["--model", "{dir}"], "cannot write", (mlp, "generate_dataset")),
+        ("train", ["--model", "{tmp}/det.mlp", "--out", "{missing}/loss.csv"], "cannot write",
+         (mlp, "generate_dataset")),
+        ("threshold", ["--model", "{dir}"], "--model", (mlp, "generate_dataset")),
+        ("evaluate", ["--model", "{dir}", "--set", "detectors=pipeline_dl", "--out", "{tmp}/x.csv"],
+         "--model", (analysis, "estimate_ber")),
+        ("evaluate", ["--config", "{dir}", "--out", "{tmp}/x.csv"], "config file",
+         (analysis, "estimate_ber")),
+    ], ids=["evaluate_out_missing_dir", "evaluate_out_is_dir", "bound_out_missing_dir",
+            "train_model_missing_dir", "train_model_is_dir", "train_out_missing_dir",
+            "threshold_model_is_dir", "evaluate_model_is_dir", "config_is_dir"])
+    def test_exits_config_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                command, argv, message, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work[1]} ran before the path was checked")
+
+        monkeypatch.setattr(*work, no_work)
+        (tmp_path / "dir").mkdir()
+        paths = dict(tmp=tmp_path, dir=tmp_path / "dir", missing=tmp_path / "missing")
+        code = cli.main([command, "--set", "sigma_list=30", "--set", "sigma=30", "--set", "pf=0",
+                         "--set", "trials=5", *(arg.format(**paths) for arg in argv)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+    @pytest.mark.parametrize("command,work", [
+        ("bound", (analysis, "bound_for_scenario")), ("evaluate", (analysis, "estimate_ber")),
+    ])
+    @pytest.mark.parametrize("axis", ["sigma_list=,", "pf_list=", "rate_list=,"])
+    def test_empty_sweep_names_the_key(self, tmp_path, capsys, monkeypatch, command, work,
+                                       axis):
+        monkeypatch.setattr(*work, lambda *args, **kwargs: pytest.fail("work ran"))
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--set", axis, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and axis.split("=")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["read_text", "write_text"])
+    def test_failed_read_or_write_is_runtime_error(self, tmp_path, capsys, monkeypatch, method):
+        def fails(self, *args, **kwargs):
+            raise OSError(f"[Errno 5] Input/output error: '{self}'")
+
+        config = write_cfg(tmp_path, "sigma_list = 30\n")
+        monkeypatch.setattr(Path, method, fails)
+        code = cli.main(["bound", "--config", config, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert err.count("\n") == 1 and "Input/output error" in err and "Traceback" not in err
+
+
 def model_bytes(dims, normalizer=1e-3):
     """A model file with the given dims, zero parameters and ``normalizer``."""
     params = sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:]))
@@ -335,6 +400,45 @@ def test_config_text_yields_finite_channels_or_config_errors(entries):
         except (cli.ConfigError, ValueError):
             pass
     assert all(np.isfinite(v) for params in channels for v in vars(params).values())
+
+
+# Values the end-to-end fuzz gives each key: some valid ones, and malformed or out-of-range
+# ones for any key.  The valid lists keep n <= 16 and l <= 8 so that no run needs more
+# than 2**8 candidates per tile.
+VALID_TOKENS = {
+    "n": ["4", "8", "16"], "r0": ["1000", "2000"], "r1": ["100", "150"], "r_sp": ["250"],
+    "sigma": ["0", "30"], "pf": ["0", "1e-3", "1e-2"], "q": ["0.3", "0.5"],
+    "coded": ["true", "false"], "m": ["2", "4", "8"], "l": ["4", "6", "8"],
+    "poly": ["4,1,0", "8,4,3,2,0"], "criterion": ["mnsp", "min_weight"],
+    "sigma_list": ["30", "10, 30"], "pf_list": ["1e-3", "0, 1e-2"],
+    "rate_list": ["15/16", "12/16, 8/16"], "threshold": ["170", "550"], "seed": ["0", "7"],
+    "detectors": ["midpoint", "pipeline_threshold", "midpoint, pipeline_threshold", "mlp_all"],
+}
+BAD_TOKENS = ["", "nan", "inf", "-inf", "-1", "0", "1.5", "1e308", "x", ",", "30, nan", "9/16"]
+SWEEP_AXES = ("sigma_list", "pf_list", "rate_list")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["bound", "evaluate"]), st.sampled_from(SWEEP_AXES),
+       st.lists(st.sampled_from(sorted(cli.CONFIG_KEYS)), unique=True, max_size=8), st.data())
+def test_main_exits_cleanly_on_any_config_text(command, axis, keys, data):
+    """Any config text makes ``bound`` / ``evaluate`` exit 0, 2 or 3; a failure prints one
+    stderr line and no traceback."""
+    def token(key):
+        valid = st.sampled_from(VALID_TOKENS.get(key, ["1"]))
+        return data.draw(valid | st.sampled_from(BAD_TOKENS))
+
+    text = "".join(f"{key} = {token(key)}\n" for key in dict.fromkeys([axis, *keys]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "exp.cfg"
+        config.write_text(text)
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "o.csv"),
+                             "--trials", "2"])
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+    if code != 0:
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
 class TestThresholdCommand:

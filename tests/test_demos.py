@@ -18,7 +18,7 @@ def run_python(argv):
 
 
 @pytest.mark.parametrize("demo", ["01_channel_walkthrough.py", "02_guided_scrambling.py",
-                                  "04_analytic_bounds.py"])
+                                  "04_analytic_bounds.py", "05_rate_sweep.py"])
 def test_demo_runs(demo):
     proc = run_python([str(ROOT / "demos" / demo)])
     assert proc.returncode == 0, proc.stderr

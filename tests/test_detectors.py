@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sneakpath import analysis
 from sneakpath import codec as gs
 from sneakpath.channel import ChannelParams, compute_sneak_mask, read_array
 from sneakpath.detectors import (
@@ -27,10 +28,15 @@ class TestThresholdDetector:
         assert det.detect(r).tolist() == [[1, 0], [1, 0]]
 
     def test_out_of_range_raises(self):
+        # Every Scenario checks the range, not only the CLI's.
+        def scenario(r_th):
+            return analysis.Scenario(analysis.PIPELINE_THRESHOLD, PARAMS,
+                                     spi_detector=ThresholdDetector(r_th))
+
         for r_th in (50.0, 100.0, 1000.0, 1700.0):
             with pytest.raises(ValueError, match="outside"):
-                ThresholdDetector.checked(r_th, PARAMS)
-        assert ThresholdDetector.checked(170.0, PARAMS).r_th == 170.0
+                scenario(r_th)
+        assert scenario(170.0).spi_detector.r_th == 170.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
@@ -123,8 +129,7 @@ class TestPipeline:
         a = np.kron(np.eye(2, dtype=int), np.ones((4, 4), dtype=int))
         reads = read_array(a, np.zeros_like(a), PARAMS, RNG)
         calls = []
-        est, cls = pipeline_detect(reads, gs.tile_weights(a, 4), 4, PARAMS, calls.append)
-        assert not cls.affected
+        est = pipeline_detect(reads, gs.tile_weights(a, 4), 4, PARAMS, calls.append)
         assert np.array_equal(est, a)
         assert calls == []  # an unflagged array is never re-detected
 
@@ -132,9 +137,14 @@ class TestPipeline:
         a = np.array([[0, 1], [1, 1]])
         e = compute_sneak_mask(a, np.ones_like(a))
         reads = read_array(a, e, PARAMS, RNG)
-        est, cls = pipeline_detect(reads, [int(a.sum())], 2, PARAMS,
-                                   ThresholdDetector(150.0).detect)
-        assert cls.affected
+        calls = []
+
+        def spi(r):
+            calls.append(r)
+            return ThresholdDetector(150.0).detect(r)
+
+        est = pipeline_detect(reads, [int(a.sum())], 2, PARAMS, spi)
+        assert len(calls) == 1  # the flagged array was re-detected
         assert np.array_equal(est, a)  # 150 ohm threshold resolves the 200 ohm cell
 
 

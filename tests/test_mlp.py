@@ -259,6 +259,20 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
+def test_calibrate_threshold_reads_the_pool_at_its_own_scale():
+    """Two models that compute the same function of reads get the same threshold."""
+    params = ChannelParams(n=4, sigma=30.0, p_f=0.1)
+    base = mlp.init_model(16, 3, normalizer=1.0 / 1000.0)
+    # Halving the normalizer and doubling the first layer scales by powers of two only.
+    twin = mlp.MlpModel(dims=base.dims, weights=[2.0 * base.weights[0], *base.weights[1:]],
+                        biases=base.biases, normalizer=1.0 / 2000.0)
+    reads = np.random.default_rng(0).uniform(50.0, 1100.0, (4, 4))
+    assert np.array_equal(mlp.hard_decide(base, reads), mlp.hard_decide(twin, reads))
+    got = [mlp.calibrate_threshold(model, params, None, 30, seed=4) for model in (base, twin)]
+    assert got[0].r_th_spi == got[1].r_th_spi
+    assert np.array_equal(got[0].distances, got[1].distances)
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = mlp.init_model(16, 9, normalizer=1e-3)

@@ -14,7 +14,7 @@ from sneakpath.codec import CodecConfig
 
 cfg = CodecConfig.make(8, 4)
 print(f"sub-array {cfg.m}x{cfg.m}, {cfg.l} augmentation bits, "
-      f"rate {cfg.rate:.4f}, scrambler exponents {cfg.poly.exponents()}")
+      f"rate {cfg.rate:.4f}, scrambler exponents {cfg.poly}")
 
 rng = np.random.default_rng(3)
 user = (rng.random(cfg.user_bits) < 0.5).astype(np.int64)

@@ -96,15 +96,16 @@ def _get(cfg: dict, key: str, cast, default=None):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
 
 
+# Config key, ChannelParams field and type of each channel parameter.
+_CHANNEL_KEYS = (("n", "n", int), ("r0", "r0", float), ("r1", "r1", float),
+                ("r_sp", "r_sp", float), ("sigma", "sigma", float), ("pf", "p_f", float))
+
+
 def channel_from(cfg: dict, sigma=None, p_f=None) -> ChannelParams:
-    return ChannelParams(
-        n=_get(cfg, "n", int, 16),
-        r0=_get(cfg, "r0", float, 1000.0),
-        r1=_get(cfg, "r1", float, 100.0),
-        r_sp=_get(cfg, "r_sp", float, 250.0),
-        sigma=_get(cfg, "sigma", float, 0.0) if sigma is None else sigma,
-        p_f=_get(cfg, "pf", float, 0.0) if p_f is None else p_f,
-    )
+    """The config's channel, ``sigma`` / ``p_f`` overriding; unset keys keep ChannelParams' defaults."""
+    given = {field: _get(cfg, key, cast) for key, field, cast in _CHANNEL_KEYS if key in cfg}
+    swept = {field: v for field, v in (("sigma", sigma), ("p_f", p_f)) if v is not None}
+    return ChannelParams(**(given | swept))
 
 
 def _operating_point(cfg: dict) -> ChannelParams:

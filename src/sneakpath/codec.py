@@ -7,12 +7,15 @@ scores best under the selection criterion.  The default criterion picks
 the candidate with the minimum number of possible sneak paths; a
 minimum-weight criterion is kept as the in-repo baseline.
 
-The augmentation bits sit in the trailing positions of the matrix, but
-the scrambler consumes the matrix in reverse row-major order so that the
-augmentation bits enter the register first and perturb the entire
-candidate rather than only its own tail.  That scan order lives in one
-helper, :func:`_scan`, behind :func:`scramble` and :func:`descramble`,
-which take one M x M tile or a ``(..., M, M)`` stack of them.
+g(x) is stored once, as the descending tuple of its exponents on
+``CodecConfig.poly``: ``(4, 1, 0)`` is x^4 + x + 1.  The augmentation
+bits sit in the trailing positions of the matrix, but the scrambler
+consumes the matrix in reverse row-major order so that the augmentation
+bits enter the register first and perturb the entire candidate rather
+than only its own tail.  That scan order lives inside one cached pair of
+GF(2) matrices per (g, tile size), :func:`_matrices`, so :func:`scramble`
+and :func:`descramble` are one matmul each over one M x M tile or a
+``(..., M, M)`` stack of them.
 
 :func:`encode_array` handles every tile of an array in one pass.  One
 GF(2) matmul scrambles each tile's index-0 word; by linearity each other
@@ -39,50 +42,19 @@ class Criterion(enum.Enum):
     MIN_WEIGHT = "min_weight"
 
 
-@dataclass(frozen=True)
-class ScramblerPoly:
-    """Scrambler polynomial g(x) over GF(2), stored as register tap delays."""
-
-    degree: int
-    taps: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        taps = tuple(sorted(set(self.taps)))
-        object.__setattr__(self, "taps", taps)
-        if any(p < 1 or p > self.degree for p in taps):
-            raise ValueError("tap delays must lie in 1..degree")
-        if self.degree not in taps:
-            raise ValueError("g(x) needs a nonzero constant term (delay == degree)")
-
-    @classmethod
-    def from_exponents(cls, exponents) -> "ScramblerPoly":
-        """Build from the exponents of g(x), e.g. "4,1,0" for x^4 + x + 1."""
-        if isinstance(exponents, str):
-            exponents = [int(tok) for tok in exponents.replace(" ", "").split(",") if tok]
-        exps = sorted(set(int(e) for e in exponents), reverse=True)
-        if not exps or any(e < 0 for e in exps):
-            raise ValueError("exponent list must be nonempty and nonnegative")
-        r = exps[0]
-        if 0 not in exps:
-            raise ValueError("g(x) needs a nonzero constant term")
-        taps = tuple(r - e for e in exps if e != r)
-        return cls(degree=r, taps=taps)
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(sorted({self.degree} | {self.degree - p for p in self.taps}, reverse=True))
-
-
 # Tiles of at most this many cells are scored by lookup in a table over all
 # their codes (65,536 entries at m = 4); larger tiles are scored from row words.
 CODE_CELLS = 16
 
+# Most cells, 2**l * m^2, in one tile's candidate block: the encoder holds the
+# block as int64 cells, so one tile's candidates take at most 8 MiB.
+CANDIDATE_CELLS = 1 << 20
+
 # Primitive polynomials used when a config gives only the redundancy l.
 DEFAULT_POLYS = {
-    4: "4,1,0",
-    6: "6,1,0",
-    8: "8,4,3,2,0",
+    4: (4, 1, 0),
+    6: (6, 1, 0),
+    8: (8, 4, 3, 2, 0),
 }
 
 
@@ -90,7 +62,7 @@ DEFAULT_POLYS = {
 class CodecConfig:
     m: int
     l: int
-    poly: ScramblerPoly
+    poly: tuple[int, ...]  # exponents of g(x), descending: (4, 1, 0) is x^4 + x + 1
     criterion: Criterion = Criterion.MNSP
 
     def __post_init__(self):
@@ -98,19 +70,32 @@ class CodecConfig:
             raise ValueError("sub-array side must be >= 2")
         if not 1 <= self.l <= self.m * self.m - 1:
             raise ValueError("redundancy l must lie in 1..m^2-1")
-        if self.l > 20:
-            raise ValueError("l > 20 makes the candidate set unenumerable")
         if self.m > 64:
             raise ValueError("sub-array side must be <= 64 (one 64-bit word per row)")
+        if (1 << self.l) * self.m * self.m > CANDIDATE_CELLS:
+            raise ValueError(f"2**l * m^2 = {(1 << self.l) * self.m * self.m} candidate cells "
+                             f"per tile exceed the encoder's budget of {CANDIDATE_CELLS}")
+        poly = self.poly
+        if poly != tuple(sorted(set(poly), reverse=True)):
+            raise ValueError("g(x) exponents must be a tuple of distinct descending integers")
+        if not poly or poly[-1] < 0:
+            raise ValueError("g(x) exponents must be nonempty and nonnegative")
+        if poly[-1] != 0:
+            raise ValueError("g(x) needs a nonzero constant term")
+        if poly[0] < 1:
+            raise ValueError("g(x) must have positive degree")
 
     @classmethod
     def make(cls, m: int, l: int, poly=None, criterion: Criterion = Criterion.MNSP) -> "CodecConfig":
+        """Build from g(x)'s exponents in any order, as text ("4,1,0") or a sequence;
+        ``None`` takes the default polynomial for l."""
         if poly is None:
             if l not in DEFAULT_POLYS:
                 raise ValueError(f"no default polynomial for l={l}; pass one explicitly")
-            poly = ScramblerPoly.from_exponents(DEFAULT_POLYS[l])
-        elif not isinstance(poly, ScramblerPoly):
-            poly = ScramblerPoly.from_exponents(poly)
+            poly = DEFAULT_POLYS[l]
+        elif isinstance(poly, str):
+            poly = [tok for tok in poly.replace(" ", "").split(",") if tok]
+        poly = tuple(sorted({int(e) for e in poly}, reverse=True))
         return cls(m=m, l=l, poly=poly, criterion=criterion)
 
     @property
@@ -130,57 +115,42 @@ class EncodedArray:
 
 
 @lru_cache(maxsize=None)
-def _scramble_matrix(taps: tuple[int, ...], length: int) -> np.ndarray:
-    """Lower-triangular GF(2) Toeplitz matrix of the scrambler (1/g)."""
-    # Impulse response of s[k] = i[k] xor sum_p s[k-p], zero initial state.
-    h = np.zeros(length, dtype=np.int64)
-    for k in range(length):
-        v = 1 if k == 0 else 0
-        for p in taps:
-            if k - p >= 0:
-                v ^= h[k - p]
-        h[k] = v
-    mat = np.zeros((length, length), dtype=np.int64)
-    for m0 in range(length):
-        mat[m0, m0:] = h[: length - m0]
-    return mat
+def _matrices(poly: tuple[int, ...], cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(2) matrices of the scrambler (1/g) and the descrambler (times g) on flat tiles.
+
+    The register reads a tile's cells last first, so the delay from input
+    cell i to output cell j is i - j: each matrix is lower-triangular
+    Toeplitz, ``mat[i, j] = h[i - j]`` for the map's impulse response h.
+    """
+    delays = [poly[0] - e for e in poly]  # 0, then the feedback taps
+    times_g = np.zeros(cells, dtype=np.int64)
+    times_g[[d for d in delays if d < cells]] = 1
+    over_g = np.zeros(cells, dtype=np.int64)
+    over_g[0] = 1
+    for k in range(1, cells):
+        over_g[k] = sum(over_g[k - d] for d in delays[1:] if d <= k) % 2
+    lag = np.subtract.outer(np.arange(cells), np.arange(cells))
+    mats = np.tril(over_g[lag]), np.tril(times_g[lag])
+    for mat in mats:
+        mat.flags.writeable = False  # cached, so shared by every caller
+    return mats
 
 
-@lru_cache(maxsize=None)
-def _descramble_matrix(taps: tuple[int, ...], length: int) -> np.ndarray:
-    """Lower-triangular GF(2) Toeplitz matrix of the descrambler (times g)."""
-    mat = np.eye(length, dtype=np.int64)
-    for p in taps:
-        mat += np.eye(length, k=p, dtype=np.int64)
-    return mat % 2
-
-
-def scramble_stream(streams: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
-    """Scramble one stream or a batch of streams (last axis is time)."""
-    length = np.asarray(streams).shape[-1]
-    return np.asarray(streams) @ _scramble_matrix(poly.taps, length) % 2
-
-
-def descramble_stream(streams: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
-    length = np.asarray(streams).shape[-1]
-    return np.asarray(streams) @ _descramble_matrix(poly.taps, length) % 2
-
-
-def _scan(tiles: np.ndarray, through, poly: ScramblerPoly) -> np.ndarray:
-    """Feed (..., M, M) tiles to ``through`` in reverse row-major order and lay the output back."""
+def _map_tiles(tiles: np.ndarray, poly: tuple[int, ...], inverse: bool) -> np.ndarray:
+    """Multiply each flattened tile by the scrambler or, if ``inverse``, the descrambler matrix."""
     tiles = np.asarray(tiles)
-    streams = tiles.reshape(*tiles.shape[:-2], -1)[..., ::-1]
-    return through(streams, poly)[..., ::-1].reshape(tiles.shape)
+    flat = tiles.reshape(*tiles.shape[:-2], -1)
+    return (flat @ _matrices(poly, flat.shape[-1])[inverse] % 2).reshape(tiles.shape)
 
 
-def scramble(tiles: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
-    """Scramble one M x M tile or a (..., M, M) stack of tiles."""
-    return _scan(tiles, scramble_stream, poly)
+def scramble(tiles: np.ndarray, poly: tuple[int, ...]) -> np.ndarray:
+    """Scramble (divide by g(x)) one M x M tile or a (..., M, M) stack of tiles."""
+    return _map_tiles(tiles, poly, inverse=False)
 
 
-def descramble(tiles: np.ndarray, poly: ScramblerPoly) -> np.ndarray:
-    """Invert :func:`scramble`."""
-    return _scan(tiles, descramble_stream, poly)
+def descramble(tiles: np.ndarray, poly: tuple[int, ...]) -> np.ndarray:
+    """Invert :func:`scramble` (multiply by g(x))."""
+    return _map_tiles(tiles, poly, inverse=True)
 
 
 def augment(user_bits: np.ndarray, index: int, cfg: CodecConfig) -> np.ndarray:

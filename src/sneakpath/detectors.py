@@ -56,8 +56,10 @@ class ThresholdSearchResult:
 
 
 def default_grid(params: ChannelParams, step: float = 1.0) -> np.ndarray:
-    """Candidate thresholds from r1 to r0 inclusive."""
-    return np.arange(params.r1, params.r0 + step / 2.0, step)
+    """Candidate thresholds from r1 in steps of ``step``, strictly between r1 and r0,
+    the range :class:`analysis.Scenario` accepts."""
+    grid = np.arange(params.r1, params.r0, step)
+    return grid[(grid > params.r1) & (grid < params.r0)]
 
 
 def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearchResult:

@@ -240,8 +240,8 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
 
 def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecConfig | None,
                         count: int, seed: int, q: float = 0.5) -> ThresholdSearchResult:
-    """Threshold (r1 to r0 in 1-ohm steps) that best mimics the network on ``count``
-    sneak-path-affected arrays drawn under ``seed``."""
+    """Threshold (1-ohm steps strictly between r1 and r0) that best mimics the network
+    on ``count`` sneak-path-affected arrays drawn under ``seed``."""
     pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
     # Undo the pool's own 1/r0 scale; hard_decide applies the model's normalizer.
     reads = [r.reshape(params.n, params.n) for r in pool.inputs / (1.0 / params.r0)]

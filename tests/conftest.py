@@ -76,7 +76,7 @@ def _train_detectors(jobs, workdir: Path, timeout: float = 1800.0) -> list:
                     "epochs": EPOCHS, "coded": "false"}
             if codec is not None:
                 sets.update(coded="true", m=codec.m, l=codec.l, criterion=codec.criterion.value,
-                            poly=",".join(map(str, codec.poly.exponents())))
+                            poly=",".join(map(str, codec.poly)))
             argv = [sys.executable, "-m", "sneakpath.cli", "train", "--seed", str(seed),
                     "--model", str(workdir / f"{name}.mlp")]
             argv += [f"--set={key}={value}" for key, value in sets.items()]  # str(float) round-trips

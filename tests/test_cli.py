@@ -264,6 +264,22 @@ class TestOutOfRangeInputs:
         assert err.count("\n") == 1 and message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_code_over_the_candidate_budget_allocates_nothing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # 2**20 candidates of 64 cells: the encoder would need GiB-sized temporaries.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the encoder ran before the code was checked")
+
+        monkeypatch.setattr(gs, "_index_patterns", no_work)
+        monkeypatch.setattr(gs, "encode_array", no_work)
+        out = tmp_path / "out.csv"
+        code = cli.main(["evaluate", "--config", write_cfg(tmp_path, self.CODED),
+                         "--set", "l=20", "--set", "poly=20,3,0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBadPaths:
     """A path that cannot be read or written exits 2 with one stderr line, before any work."""

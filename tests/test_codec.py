@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,6 +37,12 @@ def reference_tile_scramble(tile, taps):
     return reference_scramble(np.asarray(tile).reshape(-1)[::-1], taps)[::-1].reshape(m, m)
 
 
+def reference_tile_descramble(tile, taps):
+    """Descramble an M x M tile through the reference register in reverse row-major order."""
+    m = len(tile)
+    return reference_descramble(np.asarray(tile).reshape(-1)[::-1], taps)[::-1].reshape(m, m)
+
+
 def reference_encode(payload, cfg, n):
     """Per-tile encoder: score every scrambled candidate matrix, keep the first minimum."""
     tiles, weights, chosen = [], [], []
@@ -55,29 +61,19 @@ def reference_encode(payload, cfg, n):
     return bits, weights, chosen
 
 
-POLY4 = gs.ScramblerPoly.from_exponents("4,1,0")
+POLY4 = (4, 1, 0)  # g(x) = x^4 + x + 1
+TAPS4 = (3, 4)  # its register feeds back the outputs 3 and 4 steps back
 CFG = gs.CodecConfig.make(8, 4)
 
-bit_streams = arrays(np.int64, 64, elements=st.integers(0, 1))
+bit_tiles = arrays(np.int64, (8, 8), elements=st.integers(0, 1))
 
 
-class TestScramblerPoly:
-    def test_paper_polynomial_taps(self):
-        # g(x) = x^4 + x + 1 delays the feedback by 3 and 4.
-        assert POLY4.degree == 4
-        assert POLY4.taps == (3, 4)
-        assert POLY4.exponents() == (4, 1, 0)
-
-    def test_requires_constant_term(self):
-        with pytest.raises(ValueError):
-            gs.ScramblerPoly.from_exponents("4,1")
-        with pytest.raises(ValueError):
-            gs.ScramblerPoly(degree=4, taps=(1, 2))
-
-    def test_default_polys_parse(self):
-        for l, exps in gs.DEFAULT_POLYS.items():
-            poly = gs.ScramblerPoly.from_exponents(exps)
-            assert poly.degree == l
+@st.composite
+def polynomials(draw):
+    """Exponents of a random g(x) of degree 1 to 10 with a constant term."""
+    degree = draw(st.integers(1, 10))
+    inner = draw(st.sets(st.integers(1, degree)))
+    return tuple(sorted({degree, 0} | inner, reverse=True))
 
 
 class TestScanOrder:
@@ -89,9 +85,9 @@ class TestScanOrder:
         assert gs.scramble(np.array([[1, 0], [0, 0]]), POLY4).tolist() == [[1, 0], [0, 0]]
 
     @settings(max_examples=50, deadline=None)
-    @given(tile=arrays(np.int64, (8, 8), elements=st.integers(0, 1)))
+    @given(tile=bit_tiles)
     def test_scramble_is_reverse_row_major_register(self, tile):
-        assert np.array_equal(gs.scramble(tile, POLY4), reference_tile_scramble(tile, POLY4.taps))
+        assert np.array_equal(gs.scramble(tile, POLY4), reference_tile_scramble(tile, TAPS4))
 
     @settings(max_examples=30, deadline=None)
     @given(stack=arrays(np.int64, (2, 3, 4, 4), elements=st.integers(0, 1)))
@@ -110,36 +106,50 @@ class TestScramble:
         assert gs.descramble(z, POLY4).sum() == 0
 
     def test_impulse_response(self):
-        # Hand-simulated register: 1,0,0,0,0,0,0,0 -> 1,0,0,1,1,0,1,0.
-        stream = np.array([1, 0, 0, 0, 0, 0, 0, 0])
-        assert gs.scramble_stream(stream, POLY4).tolist() == [1, 0, 0, 1, 1, 0, 1, 0]
+        # Hand-simulated register: 1,0,0,0,0,0,0,0 -> 1,0,0,1,1,0,1,0.  The impulse sits
+        # in the last cell, which enters first, so the response fills the last row leftwards.
+        tile = np.zeros((8, 8), dtype=int)
+        tile[-1, -1] = 1
+        assert gs.scramble(tile, POLY4)[-1, ::-1].tolist() == [1, 0, 0, 1, 1, 0, 1, 0]
 
     @settings(max_examples=60, deadline=None)
-    @given(s=bit_streams)
-    def test_matches_reference_register(self, s):
-        assert np.array_equal(gs.scramble_stream(s, POLY4), reference_scramble(s, POLY4.taps))
-        assert np.array_equal(gs.descramble_stream(s, POLY4), reference_descramble(s, POLY4.taps))
+    @given(tile=bit_tiles)
+    def test_matches_reference_register(self, tile):
+        assert np.array_equal(gs.scramble(tile, POLY4), reference_tile_scramble(tile, TAPS4))
+        assert np.array_equal(gs.descramble(tile, POLY4), reference_tile_descramble(tile, TAPS4))
 
     @settings(max_examples=40, deadline=None)
-    @given(a=bit_streams, b=bit_streams)
+    @given(a=bit_tiles, b=bit_tiles)
     def test_linearity(self, a, b):
-        left = gs.scramble_stream(a ^ b, POLY4)
-        right = gs.scramble_stream(a, POLY4) ^ gs.scramble_stream(b, POLY4)
+        left = gs.scramble(a ^ b, POLY4)
+        right = gs.scramble(a, POLY4) ^ gs.scramble(b, POLY4)
         assert np.array_equal(left, right)
 
     @settings(max_examples=60, deadline=None)
-    @given(s=arrays(np.int64, (8, 8), elements=st.integers(0, 1)))
+    @given(s=bit_tiles)
     def test_descramble_inverts_scramble(self, s):
         assert np.array_equal(gs.descramble(gs.scramble(s, POLY4), POLY4), s)
 
     def test_single_error_propagation(self):
         # One flipped stored bit flips |taps| + 1 descrambled positions.
         rng = np.random.default_rng(4)
-        s = (rng.random(64) < 0.5).astype(int)
+        s = (rng.random((8, 8)) < 0.5).astype(int)
         corrupted = s.copy()
-        corrupted[10] ^= 1
-        diff = gs.descramble_stream(s, POLY4) ^ gs.descramble_stream(corrupted, POLY4)
-        assert diff.sum() == len(POLY4.taps) + 1
+        corrupted[6, 5] ^= 1  # the 11th cell to enter the register
+        diff = gs.descramble(s, POLY4) ^ gs.descramble(corrupted, POLY4)
+        assert diff.sum() == len(TAPS4) + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly=polynomials(), m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    @example(poly=(10, 3, 0), m=2, seed=0)  # degree beyond the tile's 4 cells
+    @example(poly=(9, 0), m=3, seed=1)
+    def test_random_polynomial_matches_register(self, poly, m, seed):
+        tiles = np.random.default_rng(seed).integers(0, 2, (3, m, m))
+        taps = [poly[0] - e for e in poly[1:]]
+        out = gs.scramble(tiles, poly)
+        for tile, got in zip(tiles, out):
+            assert np.array_equal(got, reference_tile_scramble(tile, taps))
+        assert np.array_equal(gs.descramble(out, poly), tiles)
 
 
 class TestAugment:
@@ -168,6 +178,26 @@ class TestCodecConfig:
         assert CFG.rate == 15 / 16
         assert gs.CodecConfig.make(4, 8).rate == 0.5
 
+    def test_paper_polynomial_taps(self):
+        # g(x) = x^4 + x + 1 delays the feedback by 3 and 4; its exponents in any order,
+        # repeated or as text, give one descending tuple.
+        assert CFG.poly == POLY4
+        for text in ("4,1,0", " 0, 1, 4 ", [1, 0, 4, 4]):
+            assert gs.CodecConfig.make(8, 4, poly=text).poly == POLY4
+        tile = np.random.default_rng(6).integers(0, 2, (8, 8))
+        assert np.array_equal(gs.scramble(tile, CFG.poly), reference_tile_scramble(tile, TAPS4))
+
+    def test_requires_constant_term(self):
+        with pytest.raises(ValueError, match="constant term"):
+            gs.CodecConfig.make(8, 4, poly="4,1")
+        with pytest.raises(ValueError, match="constant term"):
+            gs.CodecConfig(m=8, l=4, poly=(4, 1))
+
+    def test_default_polys_parse(self):
+        for l, exps in gs.DEFAULT_POLYS.items():
+            poly = gs.CodecConfig.make(4, l).poly
+            assert poly == exps and poly[0] == l
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gs.CodecConfig.make(4, 16)
@@ -175,6 +205,24 @@ class TestCodecConfig:
             gs.CodecConfig(m=8, l=21, poly=POLY4)
         with pytest.raises(ValueError):
             gs.CodecConfig(m=65, l=4, poly=POLY4)
+        for bad, message in [("", "nonempty"), (",", "nonempty"), ("4,1,0,-1", "nonnegative"),
+                             ("0", "positive degree"), ("4,x,0", "invalid literal")]:
+            with pytest.raises(ValueError, match=message):
+                gs.CodecConfig.make(8, 4, poly=bad)
+        for bad in ((0, 1, 4), (4, 4, 0), [4, 1, 0]):  # only make() sorts and dedups
+            with pytest.raises(ValueError, match="descending"):
+                gs.CodecConfig(m=8, l=4, poly=bad)
+
+    def test_candidate_budget(self):
+        # Every code in use fits: the rate sweep's, and the encoder tests' largest (16, 8).
+        for m, l in [(8, 4), (8, 8), (4, 4), (4, 6), (4, 8), (16, 8)]:
+            gs.CodecConfig.make(m, l)
+        with pytest.raises(ValueError, match="budget"):
+            gs.CodecConfig.make(8, 20, poly="20,3,0")
+        assert (1 << 14) * 8 * 8 == gs.CANDIDATE_CELLS
+        gs.CodecConfig.make(8, 14, poly="14,5,0")
+        with pytest.raises(ValueError, match="budget"):
+            gs.CodecConfig.make(8, 15, poly="15,1,0")
 
 
 class TestEncode:
@@ -187,7 +235,7 @@ class TestEncode:
             scores = []
             for idx in range(16):
                 cand = gs.augment(u, idx, CFG)
-                scores.append(count_possible_sneak_paths(reference_tile_scramble(cand, POLY4.taps)))
+                scores.append(count_possible_sneak_paths(reference_tile_scramble(cand, TAPS4)))
             sel = count_possible_sneak_paths(enc.bits)
             assert sel == min(scores)
             assert enc.chosen_indices.tolist() == [scores.index(min(scores))]

@@ -149,7 +149,25 @@ class TestPipeline:
 
 
 def test_default_grid_covers_r1_to_r0():
+    # The open interval: r1 and r0 themselves are thresholds Scenario rejects.
     grid = default_grid(PARAMS)
-    assert grid[0] == 100.0
-    assert grid[-1] == 1000.0
-    assert len(grid) == 901
+    assert grid[0] == 101.0
+    assert grid[-1] == 999.0
+    assert len(grid) == 899
+    assert np.array_equal(grid, np.arange(101.0, 1000.0))
+    coarse = default_grid(PARAMS, step=7.0)
+    assert coarse[0] == 107.0 and coarse[-1] == 996.0
+    assert ((coarse > 100.0) & (coarse < 1000.0)).all()
+
+
+@pytest.mark.parametrize("decision,expected", [(0, 101.0), (1, 151.0)])
+def test_one_class_pool_gives_a_threshold_scenario_accepts(decision, expected):
+    # On a closed grid the all-'0' pool would pick r1 (no '0' read lies below it) and the
+    # all-'1' pool r0 (the 999.5-ohm read lies below it); the open grid stops one step short.
+    reads = [np.array([[50.0, 150.0], [999.5, 1100.0]])] * 3
+    hard = [np.full((2, 2), decision)] * 3
+    r_th = derive_threshold(reads, hard, default_grid(PARAMS)).r_th_spi
+    assert r_th == expected
+    scn = analysis.Scenario(analysis.PIPELINE_THRESHOLD, PARAMS,
+                            spi_detector=ThresholdDetector(r_th))
+    assert scn.spi_detector.r_th == r_th

@@ -115,8 +115,8 @@ class Scenario:
             raise ValueError(f"threshold {spi.r_th} outside ({p.r1}, {p.r0})")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
-        if self.codec is not None and self.params.n % self.codec.m != 0:
-            raise ValueError("array side must be a multiple of the sub-array side")
+        if self.codec is not None:
+            gs.payload_length(self.codec, self.params.n)  # rejects an untileable or oversized array
 
     @property
     def rate(self) -> float:

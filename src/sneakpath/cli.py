@@ -9,7 +9,8 @@ Commands::
 
 Configs are flat ``key = value`` text files; any key can be overridden on
 the command line with ``--set key=value``, e.g. ``--set detectors=pipeline_dl``.
-Keys outside :data:`CONFIG_KEYS` are rejected.  ``bound`` and ``evaluate``
+:data:`CONFIG_KEYS` gives each key's type and default; other keys, and values
+that do not cast to their key's type, are rejected.  ``bound`` and ``evaluate``
 run the points of one ``sigma_list``, ``pf_list`` or ``rate_list`` sweep
 (:func:`sweep_points`).  Result rows use the schema
 ``detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed`` and carry
@@ -45,14 +46,28 @@ RATE_CONFIGS = {
 
 CSV_HEADER = "detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed"
 
-CONFIG_KEYS = frozenset((
-    "n", "r0", "r1", "r_sp", "sigma", "pf", "q", "coded", "m", "l", "poly", "criterion",
-    "sigma_list", "pf_list", "rate_list", "detectors", "threshold", "trials", "seed",
-    "train_count", "filter", "batch_size", "epochs", "pool",
-))
-
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _list(cast):
+    """Cast for a comma-separated list; empty items are dropped."""
+    return lambda text: [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
+# Type and default of every config key; None: no default.  The channel keys
+# (n to pf) take their defaults from ChannelParams.
+CONFIG_KEYS = {
+    "n": (int, None), "r0": (float, None), "r1": (float, None), "r_sp": (float, None),
+    "sigma": (float, None), "pf": (float, None), "q": (float, 0.5),
+    "coded": (bool, False), "m": (int, None), "l": (int, None), "poly": (_list(int), None),
+    "criterion": (gs.Criterion, gs.Criterion.MNSP),
+    "sigma_list": (_list(float), None), "pf_list": (_list(float), None),
+    "rate_list": (_list(str), None),
+    "detectors": (str, analysis.MIDPOINT), "threshold": (float, None), "trials": (int, 1000),
+    "seed": (int, 0), "train_count": (int, 20000), "filter": (str, mlp.AFFECTED_ONLY),
+    "batch_size": (int, None), "epochs": (int, 30), "pool": (int, 500),
+}
 
 
 class ConfigError(ValueError):
@@ -79,31 +94,33 @@ def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
             near = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"{where}: unknown config key {key!r}{hint}")
+        _cast(key, value)  # a bad value fails here, whether or not the command reads it
         cfg[key] = value
     return cfg
 
 
-def _get(cfg: dict, key: str, cast, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
+def _cast(key: str, value: str):
+    cast = CONFIG_KEYS[key][0]
     try:
-        if cast is bool:
-            return _BOOLS[cfg[key].lower()]
-        return cast(cfg[key])
+        return _BOOLS[value.lower()] if cast is bool else cast(value)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
 
-# Config key, ChannelParams field and type of each channel parameter.
-_CHANNEL_KEYS = (("n", "n", int), ("r0", "r0", float), ("r1", "r1", float),
-                ("r_sp", "r_sp", float), ("sigma", "sigma", float), ("pf", "p_f", float))
+def _get(cfg: dict, key: str, default=None):
+    """The key's typed value; a missing key takes ``default``, else the key table's."""
+    if key in cfg:
+        return _cast(key, cfg[key])
+    default = CONFIG_KEYS[key][1] if default is None else default
+    if default is None:
+        raise ConfigError(f"missing config key {key!r}")
+    return default
 
 
 def channel_from(cfg: dict, sigma=None, p_f=None) -> ChannelParams:
     """The config's channel, ``sigma`` / ``p_f`` overriding; unset keys keep ChannelParams' defaults."""
-    given = {field: _get(cfg, key, cast) for key, field, cast in _CHANNEL_KEYS if key in cfg}
+    given = {"p_f" if key == "pf" else key: _get(cfg, key)
+             for key in ("n", "r0", "r1", "r_sp", "sigma", "pf") if key in cfg}
     swept = {field: v for field, v in (("sigma", sigma), ("p_f", p_f)) if v is not None}
     return ChannelParams(**(given | swept))
 
@@ -122,28 +139,22 @@ def codec_from(cfg: dict, rate_token: str | None = None) -> gs.CodecConfig | Non
         if rate_token not in RATE_CONFIGS:
             raise ConfigError(f"unknown rate {rate_token!r}; known: {sorted(RATE_CONFIGS)}")
         (m, l), poly = RATE_CONFIGS[rate_token], None
-    elif _get(cfg, "coded", bool, False):
-        m, l, poly = _get(cfg, "m", int), _get(cfg, "l", int), cfg.get("poly")
+    elif _get(cfg, "coded"):
+        m, l = _get(cfg, "m"), _get(cfg, "l")
+        poly = _get(cfg, "poly") if "poly" in cfg else None
     else:
         return None
-    crit = gs.Criterion(_get(cfg, "criterion", str, "mnsp"))
-    return gs.CodecConfig.make(m=m, l=l, poly=poly, criterion=crit)
+    return gs.CodecConfig.make(m=m, l=l, poly=poly, criterion=_get(cfg, "criterion"))
 
 
 def sweep_from(cfg: dict) -> tuple[str, list]:
     axes = [k for k in ("sigma_list", "pf_list", "rate_list") if k in cfg]
     if len(axes) != 1:
         raise ConfigError("exactly one of sigma_list / pf_list / rate_list is required")
-    axis = axes[0]
-    raw = [tok.strip() for tok in cfg[axis].split(",") if tok.strip()]
-    if not raw:
-        raise ConfigError(f"{axis} lists no values")
-    if axis == "rate_list":
-        return "rate", raw
-    try:
-        return axis.split("_")[0], [float(tok) for tok in raw]
-    except ValueError as exc:
-        raise ConfigError(f"bad {axis}: {cfg[axis]!r}") from exc
+    values = _get(cfg, axes[0])
+    if not values:
+        raise ConfigError(f"{axes[0]} lists no values")
+    return axes[0].removesuffix("_list"), values
 
 
 def sweep_points(cfg: dict) -> list[tuple[ChannelParams, gs.CodecConfig | None]]:
@@ -160,12 +171,15 @@ def fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _row(detector: str, sigma, p_f, rate, counts, ber, ci95, seed) -> str:
+    """One :data:`CSV_HEADER` row; ``counts`` are its trials, cells and errors."""
+    return ",".join([detector, fmt(sigma), fmt(p_f), fmt(rate), *map(str, counts),
+                     fmt(ber), fmt(ci95), str(seed)])
+
+
 def estimate_row(est: analysis.BerEstimate) -> str:
-    return ",".join([
-        est.detector, fmt(est.sigma), fmt(est.p_f), fmt(est.rate),
-        str(est.trials), str(est.cells), str(est.errors),
-        fmt(est.ber), fmt(est.ci95), str(est.seed),
-    ])
+    return _row(est.detector, est.sigma, est.p_f, est.rate, (est.trials, est.cells, est.errors),
+                est.ber, est.ci95, est.seed)
 
 
 def write_rows(out: str, rows: list[str], header: str = CSV_HEADER) -> None:
@@ -175,35 +189,25 @@ def write_rows(out: str, rows: list[str], header: str = CSV_HEADER) -> None:
 # --- commands ------------------------------------------------------------
 
 def cmd_bound(cfg: dict, args) -> int:
-    seed = _get(cfg, "seed", int, 0)
-    q = _get(cfg, "q", float, 0.5)
+    seed = _get(cfg, "seed")
     rows = []
     for params, codec in sweep_points(cfg):
-        scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=q)
-        bound = analysis.bound_for_scenario(scn, seed)
-        rows.append(",".join([
-            "bound", fmt(params.sigma), fmt(params.p_f), fmt(scn.rate),
-            "0", "0", "0", fmt(bound), "0", str(seed),
-        ]))
+        scn = analysis.Scenario(analysis.MIDPOINT, params, codec=codec, q=_get(cfg, "q"))
+        rows.append(_row("bound", params.sigma, params.p_f, scn.rate, (0, 0, 0),
+                         analysis.bound_for_scenario(scn, seed), 0, seed))
     write_rows(args.out, rows)
     return 0
 
 
 def cmd_train(cfg: dict, args) -> int:
-    if args.model is None:
-        raise ConfigError("train needs --model (output model path)")
-    seed = _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed")
     params = _operating_point(cfg)
     codec = codec_from(cfg)
-    count = _get(cfg, "train_count", int, 20000)
-    class_filter = _get(cfg, "filter", str, mlp.AFFECTED_ONLY)
-    tc = mlp.TrainConfig(
-        batch_size=_get(cfg, "batch_size", int, 4 * params.n * params.n),
-        epochs=_get(cfg, "epochs", int, 30),
-        seed=seed,
-    )
-    dataset = mlp.generate_dataset(params, codec, count, class_filter, seed,
-                                   q=_get(cfg, "q", float, 0.5))
+    count = _get(cfg, "train_count")
+    tc = mlp.TrainConfig(batch_size=_get(cfg, "batch_size", 4 * params.n * params.n),
+                         epochs=_get(cfg, "epochs"), seed=seed)
+    dataset = mlp.generate_dataset(params, codec, count, _get(cfg, "filter"), seed,
+                                   q=_get(cfg, "q"))
     model = mlp.init_model(params.n * params.n, seed, normalizer=1.0 / params.r0)
     trace = mlp.train(model, dataset, tc)
     mlp.save(model, args.model)
@@ -214,11 +218,10 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_threshold(cfg: dict, args) -> int:
-    seed = _get(cfg, "seed", int, 0)
     params = _operating_point(cfg)
     model = _load_model(args, {}, params.n)
-    result = mlp.calibrate_threshold(model, params, codec_from(cfg), _get(cfg, "pool", int, 500),
-                                     seed + 1, q=_get(cfg, "q", float, 0.5))
+    result = mlp.calibrate_threshold(model, params, codec_from(cfg), _get(cfg, "pool"),
+                                     _get(cfg, "seed") + 1, q=_get(cfg, "q"))
     if args.out:
         write_rows(args.out, [f"{fmt(t)},{int(d)}" for t, d in zip(result.grid, result.distances)],
                    "r_th,distance")
@@ -230,9 +233,9 @@ def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                    model_cache: dict) -> analysis.Scenario:
     model = (_load_model(args, model_cache, params.n)
              if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL) else None)
-    spi = (detectors.ThresholdDetector(_get(cfg, "threshold", float))
+    spi = (detectors.ThresholdDetector(_get(cfg, "threshold"))
            if detector == analysis.PIPELINE_THRESHOLD else None)
-    return analysis.Scenario(detector, params, codec=codec, q=_get(cfg, "q", float, 0.5),
+    return analysis.Scenario(detector, params, codec=codec, q=_get(cfg, "q"),
                              model=model, spi_detector=spi)
 
 
@@ -250,13 +253,12 @@ def _load_model(args, cache: dict, n: int) -> mlp.MlpModel:
 
 
 def cmd_evaluate(cfg: dict, args) -> int:
-    seed = _get(cfg, "seed", int, 0)
-    trials = _get(cfg, "trials", int, 1000)
-    detector_set = [tok.strip() for tok in _get(cfg, "detectors", str, "midpoint").split(",")]
+    detector_set = [tok.strip() for tok in _get(cfg, "detectors").split(",")]
     model_cache: dict = {}
     # Every scenario is built, and so checked, before the first trial runs.
     scenarios = [build_scenario(detector, params, codec, cfg, args, model_cache)
                  for params, codec in sweep_points(cfg) for detector in detector_set]
+    trials, seed = _get(cfg, "trials"), _get(cfg, "seed")
     write_rows(args.out, [estimate_row(analysis.estimate_ber(scn, trials, seed))
                           for scn in scenarios])
     return 0
@@ -277,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials override")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--model", help="model file (input or output)")
     return parser
@@ -286,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # --seed and --trials act as --set overrides given last, so they win.
-    flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("trials", args.trials))
-             if value is not None]
     try:
-        cfg = parse_config(args.config, args.overrides + flags)
-        if args.command in ("bound", "evaluate") and not args.out:
-            raise ConfigError(f"{args.command} needs --out")
-        # Output paths are checked before dispatch, so a bad one fails before any work.
+        cfg = parse_config(args.config, args.overrides)
+        # The path each command needs, and the paths it writes, are checked before any work.
+        needed = {"bound": "out", "train": "model", "threshold": "model", "evaluate": "out"}
+        if not getattr(args, needed[args.command]):
+            raise ConfigError(f"{args.command} needs --{needed[args.command]}")
         written = (args.out, args.model if args.command == "train" else None)
         for path in (Path(p) for p in written if p is not None):
             if path.is_dir() or not path.parent.is_dir():

@@ -46,8 +46,8 @@ class Criterion(enum.Enum):
 # their codes (65,536 entries at m = 4); larger tiles are scored from row words.
 CODE_CELLS = 16
 
-# Most cells, 2**l * m^2, in one tile's candidate block: the encoder holds the
-# block as int64 cells, so one tile's candidates take at most 8 MiB.
+# Most candidate cells, 2**l * m^2 per tile and 2**l * n^2 per array (the encoder
+# scores an array's tiles together), so that no encoder temporary exceeds 8 MiB.
 CANDIDATE_CELLS = 1 << 20
 
 # Primitive polynomials used when a config gives only the redundancy l.
@@ -244,8 +244,12 @@ def score_candidates(candidates: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 
 
 def payload_length(cfg: CodecConfig, n: int) -> int:
+    """User bits of an N x N array; rejects an array the code cannot tile or encode."""
     if n % cfg.m != 0:
         raise ValueError("array side must be a multiple of the sub-array side")
+    if (n * n) << cfg.l > CANDIDATE_CELLS:
+        raise ValueError(f"2**l * n^2 = {(n * n) << cfg.l} candidate cells per array exceed "
+                         f"the encoder's budget of {CANDIDATE_CELLS}")
     return (n // cfg.m) ** 2 * cfg.user_bits
 
 

@@ -69,14 +69,11 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
     decisions and the network hard decisions is summed over the pool; the
     smallest grid value attaining the minimum wins.
     """
-    reads_pool = list(reads_pool)
-    hard_pool = list(hard_pool)
-    if len(reads_pool) == 0:
+    r, h = np.ravel(reads_pool), np.ravel(hard_pool)
+    if r.size == 0:
         raise ValueError("empty calibration pool")
-    if len(reads_pool) != len(hard_pool):
+    if r.size != h.size:
         raise ValueError("reads and decision pools are misaligned")
-    r = np.concatenate([np.asarray(x).reshape(-1) for x in reads_pool])
-    h = np.concatenate([np.asarray(x).reshape(-1) for x in hard_pool])
     grid = np.asarray(grid, dtype=np.float64)
     # distance(t) = #{h=0 cells with r < t} + #{h=1 cells with r >= t}
     r0_sorted = np.sort(r[h == 0])

@@ -244,7 +244,7 @@ def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecCon
     on ``count`` sneak-path-affected arrays drawn under ``seed``."""
     pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
     # Undo the pool's own 1/r0 scale; hard_decide applies the model's normalizer.
-    reads = [r.reshape(params.n, params.n) for r in pool.inputs / (1.0 / params.r0)]
+    reads = (pool.inputs / (1.0 / params.r0)).reshape(-1, params.n, params.n)
     hard = [hard_decide(model, r) for r in reads]
     return derive_threshold(reads, hard, default_grid(params))
 

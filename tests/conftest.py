@@ -77,7 +77,7 @@ def _train_detectors(jobs, workdir: Path, timeout: float = 1800.0) -> list:
             if codec is not None:
                 sets.update(coded="true", m=codec.m, l=codec.l, criterion=codec.criterion.value,
                             poly=",".join(map(str, codec.poly)))
-            argv = [sys.executable, "-m", "sneakpath.cli", "train", "--seed", str(seed),
+            argv = [sys.executable, "-m", "sneakpath.cli", "train", f"--set=seed={seed}",
                     "--model", str(workdir / f"{name}.mlp")]
             argv += [f"--set={key}={value}" for key, value in sets.items()]  # str(float) round-trips
             if procs and nice:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sneakpath import analysis, codec as gs
+from sneakpath import analysis, codec as gs, mlp
 from sneakpath.channel import ChannelParams, compute_sneak_mask, sample_failures, transmit
 from sneakpath.rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 from sneakpath.channel import random_array
@@ -163,6 +163,69 @@ class TestEstimateBer:
         for codec in (None, gs.CodecConfig.make(8, 4)):
             with pytest.raises(ValueError, match="q must lie"):
                 analysis.Scenario(analysis.MIDPOINT, ChannelParams(), codec=codec, q=q)
+
+    def test_mlp_all_decides_every_trial_with_the_network(self):
+        params = ChannelParams(n=4, sigma=30.0, p_f=1e-2)
+        model = mlp.init_model(16, 5, normalizer=1.0 / params.r0)
+        scn = analysis.Scenario(analysis.MLP_ALL, params, model=model)
+        est = analysis.estimate_ber(scn, 30, 8)
+        expected = []
+        for trial in range(30):
+            _, bits, _, _, reads = analysis.simulate_trial(scn, 8, trial)
+            expected.append(int((mlp.hard_decide(model, reads) != bits).sum()))
+        assert est.trial_errors.tolist() == expected
+        midpoint = analysis.estimate_ber(analysis.Scenario(analysis.MIDPOINT, params), 30, 8)
+        assert est.trial_errors.tolist() != midpoint.trial_errors.tolist()
+
+
+def estimate(trial_errors, cells_per_trial=64):
+    """A BerEstimate with the given per-trial cell errors."""
+    return analysis.BerEstimate(
+        detector="x", sigma=30.0, p_f=1e-3, rate=1.0, cells=len(trial_errors) * cells_per_trial,
+        seed=0, user_errors=0, user_bits=0, trial_errors=np.array(trial_errors))
+
+
+class TestArrayLevelStatistics:
+    # [0, 4, 4, 4] has mean 3 and sample variance (9 + 1 + 1 + 1) / 3 = 4, so its
+    # array-level standard error is 2 / sqrt(4) / 64 = 1/64 of a cell; at 64 cells per
+    # trial every figure below is exact in binary floating point.
+    SPREAD = [0, 4, 4, 4]
+
+    def test_array_level_se_by_hand(self):
+        assert analysis.array_level_se(estimate(self.SPREAD)) == 1 / 64
+        assert analysis.array_level_se(estimate([2, 2, 2])) == 0.0
+
+    def test_zscore_by_hand(self):
+        # BER 12/256 against 4/256, over sqrt((1/64)^2 + 0^2): z = (8/256) / (1/64) = 2.
+        a, b = estimate(self.SPREAD), estimate([1, 1, 1, 1])
+        assert analysis.le_zscore(a, b) == 2.0
+        assert analysis.le_zscore(b, a) == -2.0
+        assert not analysis.confidently_le(a, b)
+        assert analysis.confidently_le(b, a)
+
+    def test_tie_is_consistent_with_the_claim(self):
+        a, b = estimate(self.SPREAD), estimate([3, 3, 3, 3])
+        assert analysis.le_zscore(a, b) == 0.0
+        assert analysis.confidently_le(a, b) and analysis.confidently_le(b, a)
+
+    def test_z_at_the_limit_accepts_and_above_rejects(self, monkeypatch):
+        a, b = estimate(self.SPREAD), estimate([1, 1, 1, 1])
+        assert analysis.confidently_le(a, b, z=2.0)
+        assert not analysis.confidently_le(a, b, z=np.nextafter(2.0, 0.0))
+        monkeypatch.setattr(analysis, "le_zscore", lambda a, b: 1.645)
+        assert analysis.confidently_le(a, b)
+        monkeypatch.setattr(analysis, "le_zscore", lambda a, b: np.nextafter(1.645, 2.0))
+        assert not analysis.confidently_le(a, b)
+
+    def test_fewer_than_two_trials_raise(self):
+        one, many = estimate([3]), estimate(self.SPREAD)
+        with pytest.raises(ValueError, match="two trials"):
+            analysis.array_level_se(one)
+        for pair in ((one, many), (many, one)):
+            with pytest.raises(ValueError, match="two trials"):
+                analysis.le_zscore(*pair)
+            with pytest.raises(ValueError, match="two trials"):
+                analysis.confidently_le(*pair)
 
 
 SIM_CODECS = [None, gs.CodecConfig.make(8, 4), gs.CodecConfig.make(4, 8),

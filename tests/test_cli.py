@@ -135,16 +135,13 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_and_trials_flags_win_over_config_and_set(self, tmp_path):
-        path = write_cfg(tmp_path, "sigma_list = 30\npf = 1e-2\ntrials = 5\nseed = 1\n")
-        flagged, direct = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["evaluate", "--config", path, "--set", "seed=2", "--set", "trials=6",
-                         "--seed", "3", "--trials", "7", "--out", str(flagged)]) == 0
-        assert cli.main(["evaluate", "--config", path, "--set", "seed=3", "--set", "trials=7",
-                         "--out", str(direct)]) == 0
-        row = flagged.read_text().splitlines()[1].split(",")
-        assert (row[4], row[9]) == ("7", "3")
-        assert flagged.read_bytes() == direct.read_bytes()
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    def test_run_keys_are_set_only_not_flags(self, tmp_path, capsys, key):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--set", "sigma_list=30", "--out", str(tmp_path / "x.csv"),
+                      f"--{key}", "5"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"--{key}" in capsys.readouterr().err
 
     # Digests of the coded read path's CSV, recorded before the encoder was
     # batched over tiles; any change to encode, channel, detect or decode
@@ -195,6 +192,15 @@ class TestTrainCommand:
         losses = [float(l.split(",")[1]) for l in
                   (tmp_path / "m1.mlp.loss.csv").read_text().strip().splitlines()[1:]]
         assert losses[-1] < losses[0]
+
+    def test_missing_model_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mlp, "generate_dataset", lambda *args, **kwargs: pytest.fail("ran"))
+        code = cli.main(["train", "--set", "sigma=30", "--set", "pf=0",
+                         "--out", str(tmp_path / "loss.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and "train needs --model" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSinglePointCommands:
@@ -278,6 +284,38 @@ class TestOutOfRangeInputs:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_array_over_the_candidate_budget_allocates_nothing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 1,024 tiles of 2**14 candidates each: one array's scoring would need ~8 GiB.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the encoder ran before the array was checked")
+
+        monkeypatch.setattr(gs, "_index_patterns", no_work)
+        monkeypatch.setattr(gs, "encode_array", no_work)
+        out = tmp_path / "out.csv"
+        code = cli.main(["evaluate", "--config", write_cfg(tmp_path, self.CODED),
+                         "--set", "n=256", "--set", "l=14", "--set", "poly=14,5,0",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and "per array" in err and "budget" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,setting,work", [
+        ("evaluate", "epochs=abc", (analysis, "estimate_ber")),
+        ("bound", "trials=x", (analysis, "bound_for_scenario")),
+        ("bound", "criterion=fewest", (analysis, "bound_for_scenario")),
+    ])
+    def test_value_of_a_key_the_command_ignores_is_checked(self, tmp_path, capsys, monkeypatch,
+                                                           command, setting, work):
+        monkeypatch.setattr(*work, lambda *args, **kwargs: pytest.fail("work ran"))
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--set", "sigma_list=30", "--set", setting, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and repr(setting.split("=")[0]) in err
         assert not out.exists()
 
 
@@ -451,7 +489,7 @@ def test_main_exits_cleanly_on_any_config_text(command, axis, keys, data):
         config.write_text(text)
         with contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "o.csv"),
-                             "--trials", "2"])
+                             "--set", "trials=2"])
     assert code in (0, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
     if code != 0:
         assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()

@@ -123,6 +123,13 @@ class TestDeriveThreshold:
         with pytest.raises(ValueError):
             derive_threshold([], [], np.array([550.0]))
 
+    def test_misaligned_pool(self):
+        reads = [np.full((2, 2), 150.0), np.full((2, 2), 900.0)]
+        with pytest.raises(ValueError, match="misaligned"):
+            derive_threshold(reads, [np.ones((2, 2), dtype=int)], np.array([550.0]))
+        with pytest.raises(ValueError, match="misaligned"):
+            derive_threshold(reads[:1], [], np.array([550.0]))
+
 
 class TestPipeline:
     def test_clean_channel_zero_errors(self):

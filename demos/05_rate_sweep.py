@@ -21,7 +21,7 @@ for token, (m, l) in RATE_CONFIGS.items():
     codec = CodecConfig.make(m, l)
     scn = analysis.Scenario(analysis.PIPELINE_THRESHOLD, params, codec=codec,
                             spi_detector=spi)
-    density = analysis.empirical_one_density(scn, 0, trials=100)
+    density = analysis.empirical_one_density(scn, 0)
     est = analysis.estimate_ber(scn, trials, 21)
     print(f"{token:>6s} {f'({m}, {l})':>8s} {density:8.3f} {est.ber:10.2e}")
 

@@ -175,17 +175,20 @@ def array_level_se(est: BerEstimate) -> float:
 def le_zscore(a: BerEstimate, b: BerEstimate) -> float:
     """Standardized BER difference (a - b) using array-level errors."""
     se = np.hypot(array_level_se(a), array_level_se(b))
-    return float((a.ber - b.ber) / se)
+    diff = a.ber - b.ber
+    if se == 0.0:  # no spread on either side: a tie scores 0, any other difference +-inf
+        return float(np.sign(diff) * np.inf) if diff else 0.0
+    return float(diff / se)
 
 
-def confidently_le(a: BerEstimate, b: BerEstimate, z: float = 1.645) -> bool:
+def confidently_le(a: BerEstimate, b: BerEstimate) -> bool:
     """One-sided 95% test of the claim BER(a) <= BER(b).
 
     The claim includes equality, so it is rejected only when ``a``
-    measures higher than ``b`` by more than ``z`` standard errors of the
+    measures higher than ``b`` by more than 1.645 standard errors of the
     difference; a statistical tie is consistent with the claim.
     """
-    return le_zscore(a, b) <= z
+    return le_zscore(a, b) <= 1.645
 
 
 def write_trial(scn: Scenario, master_seed: int, trial: int):
@@ -245,15 +248,10 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
     )
 
 
-def empirical_one_density(scn: Scenario, master_seed: int, trials: int = 200) -> float:
-    """Post-coding '1'-density, used as q when bounding coded scenarios."""
-    ones = 0
-    cells = 0
-    for trial in range(trials):
-        _, bits, _, _ = write_trial(scn, master_seed, trial)
-        ones += int(bits.sum())
-        cells += bits.size
-    return ones / cells
+def empirical_one_density(scn: Scenario, master_seed: int) -> float:
+    """Post-coding '1'-density of 200 written arrays, used as q when bounding coded scenarios."""
+    ones = sum(int(write_trial(scn, master_seed, trial)[1].sum()) for trial in range(200))
+    return ones / (200 * scn.params.n ** 2)
 
 
 def bound_for_scenario(scn: Scenario, master_seed: int = 0) -> float:

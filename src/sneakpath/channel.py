@@ -106,8 +106,6 @@ def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams,
     if a.shape != e.shape:
         raise ValueError("cell array and sneak mask dimensions differ")
     nominal = np.where(a == 1, params.r1, np.where(e == 1, params.r0_sp, params.r0))
-    if params.sigma == 0.0:
-        return nominal.astype(np.float64)
     return nominal + rng.normal(0.0, params.sigma, a.shape)
 
 

@@ -51,8 +51,13 @@ _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 
 def _list(cast):
-    """Cast for a comma-separated list; empty items are dropped."""
-    return lambda text: [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
+    """Cast for a nonempty comma-separated list; empty items are dropped."""
+    def parse(text):
+        items = [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not items:
+            raise ValueError("lists no values")
+        return items
+    return parse
 
 
 # Type and default of every config key; None: no default.  The channel keys
@@ -63,10 +68,10 @@ CONFIG_KEYS = {
     "coded": (bool, False), "m": (int, None), "l": (int, None), "poly": (_list(int), None),
     "criterion": (gs.Criterion, gs.Criterion.MNSP),
     "sigma_list": (_list(float), None), "pf_list": (_list(float), None),
-    "rate_list": (_list(str), None),
-    "detectors": (str, analysis.MIDPOINT), "threshold": (float, None), "trials": (int, 1000),
+    "rate_list": (_list(str), None), "detectors": (_list(str), (analysis.MIDPOINT,)),
+    "threshold": (float, None), "trials": (int, 1000),
     "seed": (int, 0), "train_count": (int, 20000), "filter": (str, mlp.AFFECTED_ONLY),
-    "batch_size": (int, None), "epochs": (int, 30), "pool": (int, 500),
+    "epochs": (int, 30), "pool": (int, 500),
 }
 
 
@@ -107,11 +112,11 @@ def _cast(key: str, value: str):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
 
-def _get(cfg: dict, key: str, default=None):
-    """The key's typed value; a missing key takes ``default``, else the key table's."""
+def _get(cfg: dict, key: str):
+    """The key's typed value; a missing key takes the key table's default."""
     if key in cfg:
         return _cast(key, cfg[key])
-    default = CONFIG_KEYS[key][1] if default is None else default
+    default = CONFIG_KEYS[key][1]
     if default is None:
         raise ConfigError(f"missing config key {key!r}")
     return default
@@ -151,10 +156,7 @@ def sweep_from(cfg: dict) -> tuple[str, list]:
     axes = [k for k in ("sigma_list", "pf_list", "rate_list") if k in cfg]
     if len(axes) != 1:
         raise ConfigError("exactly one of sigma_list / pf_list / rate_list is required")
-    values = _get(cfg, axes[0])
-    if not values:
-        raise ConfigError(f"{axes[0]} lists no values")
-    return axes[0].removesuffix("_list"), values
+    return axes[0].removesuffix("_list"), _get(cfg, axes[0])
 
 
 def sweep_points(cfg: dict) -> list[tuple[ChannelParams, gs.CodecConfig | None]]:
@@ -204,8 +206,7 @@ def cmd_train(cfg: dict, args) -> int:
     params = _operating_point(cfg)
     codec = codec_from(cfg)
     count = _get(cfg, "train_count")
-    tc = mlp.TrainConfig(batch_size=_get(cfg, "batch_size", 4 * params.n * params.n),
-                         epochs=_get(cfg, "epochs"), seed=seed)
+    tc = mlp.TrainConfig(batch_size=4 * params.n * params.n, epochs=_get(cfg, "epochs"), seed=seed)
     dataset = mlp.generate_dataset(params, codec, count, _get(cfg, "filter"), seed,
                                    q=_get(cfg, "q"))
     model = mlp.init_model(params.n * params.n, seed, normalizer=1.0 / params.r0)
@@ -253,7 +254,7 @@ def _load_model(args, cache: dict, n: int) -> mlp.MlpModel:
 
 
 def cmd_evaluate(cfg: dict, args) -> int:
-    detector_set = [tok.strip() for tok in _get(cfg, "detectors").split(",")]
+    detector_set = _get(cfg, "detectors")
     model_cache: dict = {}
     # Every scenario is built, and so checked, before the first trial runs.
     scenarios = [build_scenario(detector, params, codec, cfg, args, model_cache)

@@ -31,6 +31,7 @@ lookup in a table over all its codes; a larger tile packs into one
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,15 +88,12 @@ class CodecConfig:
 
     @classmethod
     def make(cls, m: int, l: int, poly=None, criterion: Criterion = Criterion.MNSP) -> "CodecConfig":
-        """Build from g(x)'s exponents in any order, as text ("4,1,0") or a sequence;
-        ``None`` takes the default polynomial for l."""
+        """Build from g(x)'s integer exponents in any order; ``None`` takes l's default g(x)."""
         if poly is None:
             if l not in DEFAULT_POLYS:
                 raise ValueError(f"no default polynomial for l={l}; pass one explicitly")
             poly = DEFAULT_POLYS[l]
-        elif isinstance(poly, str):
-            poly = [tok for tok in poly.replace(" ", "").split(",") if tok]
-        poly = tuple(sorted({int(e) for e in poly}, reverse=True))
+        poly = tuple(sorted({operator.index(e) for e in poly}, reverse=True))  # text is a TypeError
         return cls(m=m, l=l, poly=poly, criterion=criterion)
 
     @property

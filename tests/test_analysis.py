@@ -92,6 +92,17 @@ class TestPNonsp:
             with pytest.raises(ValueError):
                 analysis.simulate_nonsp_fraction(params, q, 10, seed=1)
 
+    def test_simulation_matches_closed_form(self):
+        params, cells = ChannelParams(n=4, p_f=0.3), 20_000
+        p = analysis.p_nonsp(params, 0.5)
+        fraction = analysis.simulate_nonsp_fraction(params, 0.5, cells, seed=4)
+        assert abs(fraction - p) < 4 * np.sqrt(p * (1 - p) / cells)
+        assert analysis.simulate_nonsp_fraction(params, 0.5, cells, seed=4) == fraction
+
+    def test_simulation_needs_a_cell(self):
+        with pytest.raises(ValueError, match="cells must be >= 1"):
+            analysis.simulate_nonsp_fraction(ChannelParams(), 0.5, 0, seed=1)
+
 
 class TestBerLowerBound:
     def test_zero_noise_limit(self):
@@ -158,6 +169,10 @@ class TestEstimateBer:
         with pytest.raises(ValueError):
             analysis.estimate_ber(analysis.Scenario(analysis.MIDPOINT, params), 0, 1)
 
+    def test_pipeline_threshold_needs_a_threshold(self):
+        with pytest.raises(ValueError, match="needs a derived threshold"):
+            analysis.Scenario(analysis.PIPELINE_THRESHOLD, ChannelParams())
+
     @pytest.mark.parametrize("q", [-0.1, 1.5])
     def test_scenario_rejects_q_outside_unit_interval(self, q):
         for codec in (None, gs.CodecConfig.make(8, 4)):
@@ -208,10 +223,21 @@ class TestArrayLevelStatistics:
         assert analysis.le_zscore(a, b) == 0.0
         assert analysis.confidently_le(a, b) and analysis.confidently_le(b, a)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_spread_tie_holds_both_ways(self):
+        a, b = estimate([0, 0, 0]), estimate([0, 0, 0])
+        assert analysis.le_zscore(a, b) == 0.0
+        assert analysis.confidently_le(a, b) and analysis.confidently_le(b, a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_spread_difference_is_infinite(self):
+        a, b = estimate([1, 1, 1]), estimate([0, 0, 0])
+        assert analysis.le_zscore(a, b) == np.inf and analysis.le_zscore(b, a) == -np.inf
+        assert not analysis.confidently_le(a, b)
+        assert analysis.confidently_le(b, a)
+
     def test_z_at_the_limit_accepts_and_above_rejects(self, monkeypatch):
         a, b = estimate(self.SPREAD), estimate([1, 1, 1, 1])
-        assert analysis.confidently_le(a, b, z=2.0)
-        assert not analysis.confidently_le(a, b, z=np.nextafter(2.0, 0.0))
         monkeypatch.setattr(analysis, "le_zscore", lambda a, b: 1.645)
         assert analysis.confidently_le(a, b)
         monkeypatch.setattr(analysis, "le_zscore", lambda a, b: np.nextafter(1.645, 2.0))
@@ -259,5 +285,5 @@ def test_empirical_one_density_reduced_by_coding():
     # MNSP selection favors sparser tiles, so the density lands below 0.5.
     params = ChannelParams(sigma=30.0, p_f=1e-3)
     scn = analysis.Scenario(analysis.MIDPOINT, params, codec=gs.CodecConfig.make(8, 4))
-    q = analysis.empirical_one_density(scn, 0, trials=100)
+    q = analysis.empirical_one_density(scn, 0)
     assert 0.3 < q < 0.55

@@ -107,6 +107,10 @@ class TestSneakMask:
         with pytest.raises(ValueError):
             compute_sneak_mask(np.zeros((2, 2), dtype=int), np.zeros((3, 3), dtype=int))
 
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ValueError, match="must be a 2-D matrix"):
+            compute_sneak_mask(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+
     @pytest.mark.parametrize("a,binary", [
         (np.array([[0, 1], [1, 1]]), True),
         (np.array([[False, True], [True, True]]), True),
@@ -196,12 +200,23 @@ class TestReadArray:
         assert np.array_equal(read(9), read(9))
         assert not np.array_equal(read(9), read(10))
 
+    def test_dimension_mismatch(self):
+        p = ChannelParams(**PAPER, sigma=25.0)
+        with pytest.raises(ValueError, match="sneak mask dimensions differ"):
+            read_array(np.zeros((2, 2), dtype=int), np.zeros((3, 3), dtype=int), p,
+                       np.random.default_rng(1))
+
 
 class TestRandomArray:
     def test_degenerate(self):
         rng = np.random.default_rng(1)
         assert random_array(4, 0.0, rng).sum() == 0
         assert random_array(4, 1.0, rng).sum() == 16
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5])
+    def test_rejects_q_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match="q must lie"):
+            random_array(4, q, np.random.default_rng(1))
 
     def test_mean_weight(self):
         # 10^4 arrays at q = 0.5: mean weight within 3 std-devs of 128.

@@ -64,6 +64,9 @@ class TestConfigParsing:
         assert cli.main(["evaluate", "--config", path, "--out", out]) == cli.EXIT_CONFIG
         assert cli.main(["bound", "--set", "sigma_list=30", "--set", "pff=1e-3",
                          "--out", out]) == cli.EXIT_CONFIG
+        # train batches 4 n^2 rows; the batch size is not a key.
+        with pytest.raises(cli.ConfigError, match="unknown config key 'batch_size'"):
+            cli.parse_config(None, ["batch_size=16"])
 
     @pytest.mark.parametrize("text,coded", [
         ("true", True), ("On", True), ("1", True), ("yes", True),
@@ -159,6 +162,15 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_detectors_parse_like_every_list(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        code = cli.main(["evaluate", "--set", "sigma_list=30", "--set", "pf=0", "--set", "trials=2",
+                         "--set", "threshold=170",
+                         "--set", "detectors=midpoint, pipeline_threshold,", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["midpoint", "pipeline_threshold"]
+
     def test_missing_model_is_config_error(self, tmp_path):
         path = write_cfg(tmp_path,
                          "sigma_list = 30\npf = 1e-2\ndetectors = pipeline_dl\n"
@@ -180,7 +192,7 @@ class TestTrainCommand:
 
     def test_train_reproducible_and_loss_decreases(self, tmp_path):
         cfg_text = ("sigma = 30\npf = 1e-2\ntrain_count = 40\nepochs = 8\n"
-                    "batch_size = 16\nseed = 6\nfilter = all\n")
+                    "seed = 6\nfilter = all\n")
         path = write_cfg(tmp_path, cfg_text)
         models = []
         for name in ("m1.mlp", "m2.mlp"):
@@ -307,6 +319,9 @@ class TestOutOfRangeInputs:
         ("evaluate", "epochs=abc", (analysis, "estimate_ber")),
         ("bound", "trials=x", (analysis, "bound_for_scenario")),
         ("bound", "criterion=fewest", (analysis, "bound_for_scenario")),
+        ("bound", "detectors=,", (analysis, "bound_for_scenario")),
+        ("bound", "poly=,", (analysis, "bound_for_scenario")),
+        ("bound", "poly=4,x,0", (analysis, "bound_for_scenario")),
     ])
     def test_value_of_a_key_the_command_ignores_is_checked(self, tmp_path, capsys, monkeypatch,
                                                            command, setting, work):
@@ -316,6 +331,18 @@ class TestOutOfRangeInputs:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.count("\n") == 1 and repr(setting.split("=")[0]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings,key", [(["coded=true", "m=8"], "l"),
+                                              (["detectors=pipeline_threshold"], "threshold")])
+    def test_missing_key_is_named(self, tmp_path, capsys, monkeypatch, settings, key):
+        monkeypatch.setattr(analysis, "estimate_ber", lambda *args, **kwargs: pytest.fail("ran"))
+        out = tmp_path / "out.csv"
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        code = cli.main(["evaluate", "--set", "sigma_list=30", *sets, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and f"missing config key {key!r}" in err
         assert not out.exists()
 
 
@@ -498,7 +525,7 @@ def test_main_exits_cleanly_on_any_config_text(command, axis, keys, data):
 class TestThresholdCommand:
     def test_report_matches_brute_force(self, tmp_path, capsys):
         cfg_text = ("sigma = 0\npf = 0.5\ntrain_count = 30\nepochs = 2\n"
-                    "batch_size = 16\nseed = 2\nfilter = all\npool = 20\n")
+                    "seed = 2\nfilter = all\npool = 20\n")
         path = write_cfg(tmp_path, cfg_text)
         model_path = tmp_path / "m.mlp"
         assert cli.main(["train", "--config", path, "--model", str(model_path)]) == 0

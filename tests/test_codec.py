@@ -180,16 +180,16 @@ class TestCodecConfig:
 
     def test_paper_polynomial_taps(self):
         # g(x) = x^4 + x + 1 delays the feedback by 3 and 4; its exponents in any order,
-        # repeated or as text, give one descending tuple.
+        # or repeated, give one descending tuple.
         assert CFG.poly == POLY4
-        for text in ("4,1,0", " 0, 1, 4 ", [1, 0, 4, 4]):
-            assert gs.CodecConfig.make(8, 4, poly=text).poly == POLY4
+        for exps in ((4, 1, 0), (0, 1, 4), [1, 0, 4, 4]):
+            assert gs.CodecConfig.make(8, 4, poly=exps).poly == POLY4
         tile = np.random.default_rng(6).integers(0, 2, (8, 8))
         assert np.array_equal(gs.scramble(tile, CFG.poly), reference_tile_scramble(tile, TAPS4))
 
     def test_requires_constant_term(self):
         with pytest.raises(ValueError, match="constant term"):
-            gs.CodecConfig.make(8, 4, poly="4,1")
+            gs.CodecConfig.make(8, 4, poly=[1, 4])
         with pytest.raises(ValueError, match="constant term"):
             gs.CodecConfig(m=8, l=4, poly=(4, 1))
 
@@ -205,24 +205,34 @@ class TestCodecConfig:
             gs.CodecConfig(m=8, l=21, poly=POLY4)
         with pytest.raises(ValueError):
             gs.CodecConfig(m=65, l=4, poly=POLY4)
-        for bad, message in [("", "nonempty"), (",", "nonempty"), ("4,1,0,-1", "nonnegative"),
-                             ("0", "positive degree"), ("4,x,0", "invalid literal")]:
+        for bad, message in [((), "nonempty"), ((4, 1, 0, -1), "nonnegative"),
+                             ((0,), "positive degree")]:
             with pytest.raises(ValueError, match=message):
                 gs.CodecConfig.make(8, 4, poly=bad)
+        for text in ("410", "4,1,0"):  # the CLI parses text; its digits are not exponents
+            with pytest.raises(TypeError):
+                gs.CodecConfig.make(8, 4, poly=text)
         for bad in ((0, 1, 4), (4, 4, 0), [4, 1, 0]):  # only make() sorts and dedups
             with pytest.raises(ValueError, match="descending"):
                 gs.CodecConfig(m=8, l=4, poly=bad)
+
+    def test_side_and_redundancy_ranges(self):
+        with pytest.raises(ValueError, match="sub-array side must be >= 2"):
+            gs.CodecConfig(m=1, l=1, poly=(1, 0))
+        for l in (0, 16):
+            with pytest.raises(ValueError, match="redundancy l must lie"):
+                gs.CodecConfig(m=4, l=l, poly=POLY4)
 
     def test_candidate_budget(self):
         # Every code in use fits: the rate sweep's, and the encoder tests' largest (16, 8).
         for m, l in [(8, 4), (8, 8), (4, 4), (4, 6), (4, 8), (16, 8)]:
             gs.CodecConfig.make(m, l)
         with pytest.raises(ValueError, match="budget"):
-            gs.CodecConfig.make(8, 20, poly="20,3,0")
+            gs.CodecConfig.make(8, 20, poly=(20, 3, 0))
         assert (1 << 14) * 8 * 8 == gs.CANDIDATE_CELLS
-        gs.CodecConfig.make(8, 14, poly="14,5,0")
+        gs.CodecConfig.make(8, 14, poly=(14, 5, 0))
         with pytest.raises(ValueError, match="budget"):
-            gs.CodecConfig.make(8, 15, poly="15,1,0")
+            gs.CodecConfig.make(8, 15, poly=(15, 1, 0))
 
 
 class TestEncode:
@@ -294,6 +304,13 @@ class TestEncodeArray:
         with pytest.raises(ValueError):
             gs.payload_length(CFG, 12)
 
+    def test_untileable_array(self):
+        for bits in (np.zeros((12, 12), dtype=int), np.zeros((8, 16), dtype=int)):
+            with pytest.raises(ValueError, match="multiple of the tile side"):
+                gs.decode_array(bits, CFG)
+            with pytest.raises(ValueError, match="multiple of the tile side"):
+                gs.tile_weights(bits, 8)
+
     @settings(max_examples=25, deadline=None)
     @given(payload=arrays(np.int64, 240, elements=st.integers(0, 1)))
     def test_roundtrip_property(self, payload):
@@ -305,7 +322,7 @@ class TestEncodeArray:
 # one and many tiles per array, and every rate the CLI offers.
 ENCODE_CASES = [(2, 1, 16), (2, 3, 12), (3, 4, 12), (4, 4, 16), (4, 6, 12), (4, 8, 16),
                 (6, 6, 12), (8, 4, 16), (8, 8, 16), (16, 4, 16), (16, 8, 16)]
-EXTRA_POLYS = {1: "1,0", 3: "3,1,0"}
+EXTRA_POLYS = {1: (1, 0), 3: (3, 1, 0)}
 
 
 class TestPackedEncoder:

@@ -13,7 +13,7 @@ from sneakpath.detectors import (
 )
 
 PARAMS = ChannelParams(sigma=0.0, p_f=0.0)
-RNG = np.random.default_rng(1)  # unused by noise-free reads
+RNG = np.random.default_rng(1)  # at sigma = 0 its draws are all +0.0, so reads are nominal
 
 
 class TestThresholdDetector:

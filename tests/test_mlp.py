@@ -205,6 +205,13 @@ class TestDataset:
         with pytest.raises(mlp.FilterStarvationError, match="within 50 attempts"):
             mlp.generate_dataset(params, None, 5, mlp.AFFECTED_ONLY, seed=1)
 
+    def test_count_and_filter_are_checked(self):
+        params = ChannelParams(sigma=0.0, p_f=0.0)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            mlp.generate_dataset(params, None, 0, mlp.ALL, seed=1)
+        with pytest.raises(ValueError, match="unknown class filter"):
+            mlp.generate_dataset(params, None, 3, "affected", seed=1)
+
     def test_all_filter_exact_count(self):
         params = ChannelParams(sigma=0.0, p_f=0.0)
         ds = mlp.generate_dataset(params, None, 7, mlp.ALL, seed=1)
@@ -257,6 +264,23 @@ class TestTrain:
                       mlp.TrainConfig(batch_size=16, epochs=10, seed=5))
             runs.append([w.copy() for w in model.weights])
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    @pytest.mark.parametrize("kwargs,message", [(dict(batch_size=0), "batch size must be"),
+                                                (dict(learning_rate=0.0), "learning rate must")])
+    def test_config_ranges(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            mlp.TrainConfig(**kwargs)
+
+    def test_empty_dataset(self):
+        ds = mlp.Dataset(inputs=np.empty((0, 4)), labels=np.empty((0, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="dataset is empty"):
+            mlp.train(mlp._init_from_dims([4, 8, 4, 4], 1, 1.0), ds, mlp.TrainConfig())
+
+    def test_non_finite_loss_stops_training(self):
+        ds = mlp.Dataset(inputs=np.full((8, 4), np.nan), labels=np.zeros((8, 4), dtype=np.int64))
+        model = mlp._init_from_dims([4, 8, 4, 4], 1, 1.0)
+        with pytest.raises(FloatingPointError, match="non-finite training loss at step 0"):
+            mlp.train(model, ds, mlp.TrainConfig(batch_size=4))
 
 
 def test_calibrate_threshold_reads_the_pool_at_its_own_scale():

@@ -40,7 +40,7 @@ ones = 0
 for w in words:
     e = gs.encode_array(w, cfg, cfg.m)
     chosen_paths.append(count_possible_sneak_paths(e.bits))
-    ones += e.weights[0]
+    ones += e.bits.sum()
 raw_paths = [count_possible_sneak_paths(gs.augment(w, 0, cfg)) for w in words]
 print(f"\nover {len(words)} random words:")
 print(f"  mean possible paths, raw word:      {np.mean(raw_paths):7.1f}")

@@ -11,7 +11,6 @@ import numpy as np
 from sneakpath import analysis, mlp
 from sneakpath.channel import ChannelParams
 from sneakpath.codec import CodecConfig
-from sneakpath.detectors import ThresholdDetector
 
 params = ChannelParams(sigma=30.0, p_f=1e-3)
 codec = CodecConfig.make(8, 4)
@@ -26,7 +25,7 @@ print(f"trained 100 epochs, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 print("\nderiving the imitation threshold from the network's decisions ...")
 search = mlp.calibrate_threshold(model, params, codec, 200, seed=2)
 print(f"best fixed threshold: {search.r_th_spi:.0f} ohm "
-      f"(middle point would be {(params.r0 + params.r1) / 2:.0f} ohm)")
+      f"(middle point would be {params.midpoint:.0f} ohm)")
 
 trials = 1_500
 runs = {
@@ -34,8 +33,7 @@ runs = {
     "coded + network": analysis.Scenario(
         analysis.PIPELINE_DL, params, codec=codec, model=model),
     "coded + derived threshold": analysis.Scenario(
-        analysis.PIPELINE_THRESHOLD, params, codec=codec,
-        spi_detector=ThresholdDetector(search.r_th_spi)),
+        analysis.PIPELINE_THRESHOLD, params, codec=codec, threshold=search.r_th_spi),
 }
 print(f"\nBER over {trials} arrays:")
 for name, scn in runs.items():

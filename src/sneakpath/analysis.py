@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codec as gs
 from .channel import ChannelParams, random_array, transmit
-from .detectors import ThresholdDetector, classify_array, pipeline_detect
+from .detectors import classify_array, pipeline_detect, threshold_detect
 from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
@@ -100,7 +100,7 @@ class Scenario:
     codec: gs.CodecConfig | None = None
     q: float = 0.5
     model: object = None
-    spi_detector: ThresholdDetector | None = None
+    threshold: float | None = None  # ohms; pipeline_threshold's re-detection threshold
     name: str | None = None
 
     def __post_init__(self):
@@ -108,11 +108,11 @@ class Scenario:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.detector in (MLP_ALL, PIPELINE_DL) and self.model is None:
             raise ValueError(f"{self.detector} needs a trained model")
-        if self.detector == PIPELINE_THRESHOLD and self.spi_detector is None:
+        if self.detector == PIPELINE_THRESHOLD and self.threshold is None:
             raise ValueError("pipeline_threshold needs a derived threshold")
-        spi, p = self.spi_detector, self.params
-        if spi is not None and not p.r1 < spi.r_th < p.r0:
-            raise ValueError(f"threshold {spi.r_th} outside ({p.r1}, {p.r0})")
+        t, p = self.threshold, self.params
+        if t is not None and not p.r1 < t < p.r0:
+            raise ValueError(f"threshold {t} outside ({p.r1}, {p.r0})")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
         if self.codec is not None:
@@ -192,15 +192,15 @@ def confidently_le(a: BerEstimate, b: BerEstimate) -> bool:
 
 
 def write_trial(scn: Scenario, master_seed: int, trial: int):
-    """Generate one stored array (and its side information) for a trial."""
+    """One trial's stored array: (payload, bits, tile_weights(bits, tile), tile)."""
     data_rng = derive_rng(master_seed, trial, STREAM_DATA)
     if scn.codec is not None:
         payload = (data_rng.random(gs.payload_length(scn.codec, scn.params.n)) < scn.q)
         payload = payload.astype(np.int64)
-        enc = gs.encode_array(payload, scn.codec, scn.params.n)
-        return payload, enc.bits, enc.weights, scn.codec.m
-    bits = random_array(scn.params.n, scn.q, data_rng)
-    return None, bits, np.array([bits.sum()]), scn.params.n
+        bits, tile = gs.encode_array(payload, scn.codec, scn.params.n).bits, scn.codec.m
+    else:
+        payload, bits, tile = None, random_array(scn.params.n, scn.q, data_rng), scn.params.n
+    return payload, bits, gs.tile_weights(bits, tile), tile
 
 
 def simulate_trial(scn: Scenario, master_seed: int, trial: int):
@@ -217,12 +217,12 @@ def simulate_trial(scn: Scenario, master_seed: int, trial: int):
 
 def detect_trial(scn: Scenario, reads: np.ndarray, weights: np.ndarray, tile: int) -> np.ndarray:
     if scn.detector == MIDPOINT:
-        return ThresholdDetector.midpoint(scn.params).detect(reads)
+        return threshold_detect(reads, scn.params.midpoint)
     from .mlp import hard_decide
     if scn.detector == MLP_ALL:
         return hard_decide(scn.model, reads)
     redetect = (partial(hard_decide, scn.model) if scn.detector == PIPELINE_DL
-                else scn.spi_detector.detect)
+                else partial(threshold_detect, r_th=scn.threshold))
     return pipeline_detect(reads, weights, tile, scn.params, redetect)
 
 

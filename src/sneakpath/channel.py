@@ -45,6 +45,11 @@ class ChannelParams:
             raise ValueError("p_f must lie in [0, 1]")
 
     @property
+    def midpoint(self) -> float:
+        """Middle-point threshold between the LRS and HRS levels."""
+        return (self.r0 + self.r1) / 2.0
+
+    @property
     def r0_sp(self) -> float:
         """HRS resistance with an active parasitic branch (r0 || r_sp)."""
         return 1.0 / (1.0 / self.r0 + 1.0 / self.r_sp)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, codec as gs, detectors, mlp
+from . import analysis, codec as gs, mlp
 from .channel import ChannelParams
 
 EXIT_CONFIG = 2
@@ -69,9 +69,10 @@ CONFIG_KEYS = {
     "criterion": (gs.Criterion, gs.Criterion.MNSP),
     "sigma_list": (_list(float), None), "pf_list": (_list(float), None),
     "rate_list": (_list(str), None), "detectors": (_list(str), (analysis.MIDPOINT,)),
-    "threshold": (float, None), "trials": (int, 1000),
-    "seed": (int, 0), "train_count": (int, 20000), "filter": (str, mlp.AFFECTED_ONLY),
-    "epochs": (int, 30), "pool": (int, 500),
+    "threshold": (float, None), "trials": (int, 1000), "train_count": (int, 20000),
+    # A seed is any integer numpy.random.SeedSequence takes, so not a negative one.
+    "seed": (lambda text: np.random.SeedSequence(int(text)).entropy, 0),
+    "filter": (str, mlp.AFFECTED_ONLY), "epochs": (int, 30), "pool": (int, 500),
 }
 
 
@@ -234,10 +235,9 @@ def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                    model_cache: dict) -> analysis.Scenario:
     model = (_load_model(args, model_cache, params.n)
              if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL) else None)
-    spi = (detectors.ThresholdDetector(_get(cfg, "threshold"))
-           if detector == analysis.PIPELINE_THRESHOLD else None)
+    threshold = _get(cfg, "threshold") if detector == analysis.PIPELINE_THRESHOLD else None
     return analysis.Scenario(detector, params, codec=codec, q=_get(cfg, "q"),
-                             model=model, spi_detector=spi)
+                             model=model, threshold=threshold)
 
 
 def _load_model(args, cache: dict, n: int) -> mlp.MlpModel:

@@ -25,7 +25,8 @@ chosen tile per array position is unpacked.  A tile of at most
 ``CODE_CELLS`` (16) cells packs into one integer code and is scored by
 lookup in a table over all its codes; a larger tile packs into one
 ``uint64`` word per row and is scored from popcounts of row pairs
-(:func:`_score_rows`), so tiles up to 64 x 64 are supported.
+(:func:`_score_rows`), so tiles up to 64 x 64 are supported.  An array's
+side information has one definition, :func:`tile_weights`.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class CodecConfig:
 @dataclass
 class EncodedArray:
     bits: np.ndarray
-    weights: np.ndarray  # int64 popcount per tile, row-major tile order
     chosen_indices: np.ndarray  # int64 augmentation index per tile
 
 
@@ -271,7 +271,7 @@ def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
     tiles = _unpack(per_tile[np.arange(len(scores)), chosen], cfg.m)
     bits = np.zeros((n, n), dtype=np.int64)
     _tiles(bits, cfg.m)[...] = tiles.reshape(n // cfg.m, n // cfg.m, cfg.m, cfg.m)
-    return EncodedArray(bits=bits, weights=tiles.sum(axis=(1, 2)), chosen_indices=chosen)
+    return EncodedArray(bits=bits, chosen_indices=chosen)
 
 
 def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -281,5 +281,5 @@ def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 
 
 def tile_weights(bits: np.ndarray, m: int) -> np.ndarray:
-    """Per-tile popcounts in row-major tile order (side-information view)."""
+    """Per-tile popcounts in row-major tile order: the side information written and checked."""
     return _tiles(bits, m).sum(axis=(2, 3)).reshape(-1)

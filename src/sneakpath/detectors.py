@@ -1,12 +1,11 @@
 """Hard-decision detection and array classification.
 
-The read pipeline first applies a middle-point threshold detector and a
-weight comparator: each tile's detected popcount is checked against the
-weight recorded at write time.  Arrays whose tiles all match are taken
-as sneak-path-free and the threshold decisions stand; mismatching arrays
-are re-detected by the one re-detector passed to :func:`pipeline_detect`,
-a function from reads to bits: the trained network, or a fixed threshold
-from :func:`derive_threshold`.
+A threshold is a float in ohms; :func:`threshold_detect` applies one.  The
+read pipeline detects at ``ChannelParams.midpoint`` and compares each
+tile's detected popcount with the ``codec.tile_weights`` written beside
+the array.  A matching array keeps those decisions; a mismatching one is
+re-detected by the re-detector passed to :func:`pipeline_detect`: the
+trained network, or :func:`threshold_detect` at :func:`derive_threshold`'s.
 """
 
 from __future__ import annotations
@@ -19,19 +18,9 @@ from .channel import ChannelParams
 from .codec import tile_weights
 
 
-@dataclass(frozen=True)
-class ThresholdDetector:
-    """Fixed-threshold resistance detector: below threshold reads as '1'."""
-
-    r_th: float
-
-    @classmethod
-    def midpoint(cls, params: ChannelParams) -> "ThresholdDetector":
-        return cls((params.r0 + params.r1) / 2.0)
-
-    def detect(self, reads: np.ndarray) -> np.ndarray:
-        # Ties (r exactly at threshold) resolve to 0 / HRS.
-        return (np.asarray(reads) < self.r_th).astype(np.int64)
+def threshold_detect(reads: np.ndarray, r_th: float) -> np.ndarray:
+    """Hard decisions at one threshold: a read below ``r_th`` is '1'; a tie is '0' (HRS)."""
+    return (np.asarray(reads) < r_th).astype(np.int64)
 
 
 @dataclass
@@ -59,7 +48,11 @@ def default_grid(params: ChannelParams, step: float = 1.0) -> np.ndarray:
     """Candidate thresholds from r1 in steps of ``step``, strictly between r1 and r0,
     the range :class:`analysis.Scenario` accepts."""
     grid = np.arange(params.r1, params.r0, step)
-    return grid[(grid > params.r1) & (grid < params.r0)]
+    grid = grid[(grid > params.r1) & (grid < params.r0)]
+    if grid.size == 0:
+        raise ValueError(f"empty threshold grid: no {step:g}-ohm step lies strictly between "
+                         f"r1 = {params.r1:g} and r0 = {params.r0:g}")
+    return grid
 
 
 def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearchResult:
@@ -75,6 +68,8 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
     if r.size != h.size:
         raise ValueError("reads and decision pools are misaligned")
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0:
+        raise ValueError("empty threshold grid")
     # distance(t) = #{h=0 cells with r < t} + #{h=1 cells with r >= t}
     r0_sorted = np.sort(r[h == 0])
     r1_sorted = np.sort(r[h == 1])
@@ -88,5 +83,5 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
 def pipeline_detect(reads: np.ndarray, weights, m: int, params: ChannelParams,
                     redetect) -> np.ndarray:
     """Midpoint detect and classify; a flagged array is re-detected as ``redetect(reads)``."""
-    est = ThresholdDetector.midpoint(params).detect(reads)
+    est = threshold_detect(reads, params.midpoint)
     return redetect(reads) if classify_array(est, weights, m).affected else est

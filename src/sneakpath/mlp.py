@@ -19,8 +19,8 @@ from .analysis import MIDPOINT, Scenario, simulate_trial
 # transmit and derive_rng are unused here, but stay bound for
 # bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_it.
 from .channel import ChannelParams, transmit  # noqa: F401
-from .detectors import (ThresholdDetector, ThresholdSearchResult, classify_array, default_grid,
-                        derive_threshold)
+from .detectors import (ThresholdSearchResult, classify_array, default_grid, derive_threshold,
+                        threshold_detect)
 from .rng import derive_rng  # noqa: F401
 
 MAGIC = b"SPMLP1"
@@ -213,7 +213,6 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
     if class_filter not in (AFFECTED_ONLY, ALL):
         raise ValueError(f"unknown class filter {class_filter!r}")
     norm = 1.0 / params.r0
-    midpoint = ThresholdDetector.midpoint(params)
     scn = Scenario(MIDPOINT, params, codec=cfg, q=q)
     inputs = np.empty((count, params.n * params.n))
     labels = np.empty((count, params.n * params.n), dtype=np.int64)
@@ -222,8 +221,7 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
     for attempt in range(budget):
         _, bits, weights, tile, reads = simulate_trial(scn, seed, attempt)
         if class_filter == AFFECTED_ONLY:
-            detected = midpoint.detect(reads)
-            if not classify_array(detected, weights, tile).affected:
+            if not classify_array(threshold_detect(reads, params.midpoint), weights, tile).affected:
                 continue
         inputs[kept] = reads.reshape(-1) * norm
         labels[kept] = bits.reshape(-1)
@@ -242,11 +240,12 @@ def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecCon
                         count: int, seed: int, q: float = 0.5) -> ThresholdSearchResult:
     """Threshold (1-ohm steps strictly between r1 and r0) that best mimics the network
     on ``count`` sneak-path-affected arrays drawn under ``seed``."""
+    grid = default_grid(params)  # an empty grid fails here, before the pool is drawn
     pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
     # Undo the pool's own 1/r0 scale; hard_decide applies the model's normalizer.
     reads = (pool.inputs / (1.0 / params.r0)).reshape(-1, params.n, params.n)
     hard = [hard_decide(model, r) for r in reads]
-    return derive_threshold(reads, hard, default_grid(params))
+    return derive_threshold(reads, hard, grid)
 
 
 def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[float]:

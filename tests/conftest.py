@@ -19,7 +19,6 @@ import pytest
 
 from sneakpath import analysis, codec as gs, mlp
 from sneakpath.channel import ChannelParams
-from sneakpath.detectors import ThresholdDetector
 
 DESK_PARAMS = ChannelParams(sigma=30.0, p_f=1e-3)
 DESK_CODEC = gs.CodecConfig.make(8, 4)
@@ -112,7 +111,7 @@ def desk_lab(tmp_path_factory):
         model_cc=model_cc,
         model_nocc=model_nocc,
         model_unf=model_unf,
-        spi_detector=ThresholdDetector(search.r_th_spi),
+        threshold=search.r_th_spi,
         train_seconds=time.time() - t0,
     )
 
@@ -130,8 +129,7 @@ def desk_estimates(desk_lab):
         "unfiltered_mlp": analysis.Scenario(analysis.MLP_ALL, p,
                                             model=desk_lab.model_unf),
         "cc_threshold": analysis.Scenario(analysis.PIPELINE_THRESHOLD, p,
-                                          codec=cc,
-                                          spi_detector=desk_lab.spi_detector),
+                                          codec=cc, threshold=desk_lab.threshold),
     }
     models = (desk_lab.model_cc, desk_lab.model_nocc, desk_lab.model_unf)
     t0 = time.time()

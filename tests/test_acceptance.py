@@ -21,7 +21,7 @@ from sneakpath.channel import (
     read_array,
     sample_failures,
 )
-from sneakpath.detectors import ThresholdDetector, classify_array
+from sneakpath.detectors import classify_array, threshold_detect
 from sneakpath.rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
@@ -131,7 +131,7 @@ def test_c05_monte_carlo_never_beats_lower_bound(record, desk_lab):
                 analysis.Scenario(analysis.PIPELINE_DL, params, codec=cc,
                                   model=desk_lab.model_cc),
                 analysis.Scenario(analysis.PIPELINE_THRESHOLD, params, codec=cc,
-                                  spi_detector=desk_lab.spi_detector),
+                                  threshold=desk_lab.threshold),
             )
             for scn in scenarios:
                 est = analysis.estimate_ber(scn, trials, 505)
@@ -178,7 +178,7 @@ def test_c08_rate_sweep_direction(record, desk_lab):
         scn = analysis.Scenario(
             analysis.PIPELINE_THRESHOLD, desk_lab.params,
             codec=gs.CodecConfig.make(m, l),
-            spi_detector=desk_lab.spi_detector, name=token)
+            threshold=desk_lab.threshold, name=token)
         sweep.append(analysis.estimate_ber(scn, trials, 808))
     nonincreasing = all(analysis.confidently_le(b, a)
                         for a, b in zip(sweep, sweep[1:]))
@@ -186,7 +186,7 @@ def test_c08_rate_sweep_direction(record, desk_lab):
         analysis.Scenario(
             analysis.PIPELINE_THRESHOLD, desk_lab.params,
             codec=gs.CodecConfig.make(4, 8, criterion=gs.Criterion.MIN_WEIGHT),
-            spi_detector=desk_lab.spi_detector),
+            threshold=desk_lab.threshold),
         trials, 808)
     beats_min_weight = analysis.confidently_le(sweep[-1], mw)
     ok = nonincreasing and beats_min_weight
@@ -200,7 +200,6 @@ def test_c08_rate_sweep_direction(record, desk_lab):
 
 def test_c09_weight_comparator_exact_without_noise(record):
     params = ChannelParams(sigma=0.0, p_f=1e-2)
-    detector = ThresholdDetector.midpoint(params)
     mismatches = 0
     affected_seen = 0
     for trial in range(10_000):
@@ -208,7 +207,7 @@ def test_c09_weight_comparator_exact_without_noise(record):
         fails = sample_failures(params, derive_rng(909, trial, STREAM_FAILURES))
         e = compute_sneak_mask(a, fails)
         reads = read_array(a, e, params, derive_rng(909, trial, STREAM_NOISE))
-        verdict = classify_array(detector.detect(reads), [int(a.sum())],
+        verdict = classify_array(threshold_detect(reads, params.midpoint), [int(a.sum())],
                                  params.n).affected
         truth = bool(e.any())
         affected_seen += truth

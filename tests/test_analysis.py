@@ -281,6 +281,22 @@ class TestSimulateTrial:
         assert weights.sum() == bits.sum()
 
 
+class TestWriteTrial:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**6),
+           codec=st.sampled_from(SIM_CODECS), q=st.sampled_from([0.2, 0.5, 0.8]))
+    def test_weights_are_the_tile_weights_of_the_stored_bits(self, seed, trial, codec, q):
+        scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(), codec=codec, q=q)
+        _, bits, weights, tile = analysis.write_trial(scn, seed, trial)
+        assert tile == (scn.params.n if codec is None else codec.m)
+        assert np.array_equal(weights, gs.tile_weights(bits, tile))
+        assert weights.sum() == bits.sum()
+        # Row-major tile order, counted tile by tile.
+        corners = range(0, scn.params.n, tile)
+        assert weights.tolist() == [int(bits[r:r + tile, c:c + tile].sum())
+                                    for r in corners for c in corners]
+
+
 def test_empirical_one_density_reduced_by_coding():
     # MNSP selection favors sparser tiles, so the density lands below 0.5.
     params = ChannelParams(sigma=30.0, p_f=1e-3)

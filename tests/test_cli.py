@@ -282,6 +282,18 @@ class TestOutOfRangeInputs:
         assert err.count("\n") == 1 and message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_empty_threshold_grid_draws_no_pool(self, tmp_path, capsys, monkeypatch):
+        # r0 - r1 <= 1 ohm leaves no 1-ohm grid step strictly between them.
+        model = tmp_path / "m.mlp"
+        mlp.save(mlp.init_model(16, 0), model)
+        monkeypatch.setattr(mlp, "generate_dataset",
+                            lambda *args, **kwargs: pytest.fail("the pool was drawn"))
+        code = cli.main(["threshold", "--set", "n=4", "--set", "r0=100.5", "--set", "r1=100",
+                         "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and "empty threshold grid" in err
+
     def test_code_over_the_candidate_budget_allocates_nothing(self, tmp_path, capsys,
                                                               monkeypatch):
         # 2**20 candidates of 64 cells: the encoder would need GiB-sized temporaries.
@@ -322,6 +334,11 @@ class TestOutOfRangeInputs:
         ("bound", "detectors=,", (analysis, "bound_for_scenario")),
         ("bound", "poly=,", (analysis, "bound_for_scenario")),
         ("bound", "poly=4,x,0", (analysis, "bound_for_scenario")),
+        # NumPy seeds are nonnegative; threshold's pool seed, seed + 1, would hide -1.
+        ("evaluate", "seed=-1", (analysis, "estimate_ber")),
+        ("bound", "seed=-1", (analysis, "bound_for_scenario")),
+        ("train", "seed=-1", (mlp, "generate_dataset")),
+        ("threshold", "seed=-1", (mlp, "generate_dataset")),
     ])
     def test_value_of_a_key_the_command_ignores_is_checked(self, tmp_path, capsys, monkeypatch,
                                                            command, setting, work):

@@ -1,5 +1,7 @@
 """Smoke test: the quick demos and README's quick start run against the current API."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,6 +24,24 @@ def run_python(argv):
 def test_demo_runs(demo):
     proc = run_python([str(ROOT / "demos" / demo)])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_resolve(demo):
+    """Every ``from sneakpath... import name`` in a demo names something that exists, checked
+    from the source without running it: a slow demo is not run by this suite."""
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "sneakpath":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    try:  # a submodule, as in ``from sneakpath import mlp``
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        missing.append(f"{node.module}.{alias.name}")
+    assert missing == []
 
 
 def test_readme_quick_start_runs():

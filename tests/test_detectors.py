@@ -5,45 +5,43 @@ from sneakpath import analysis
 from sneakpath import codec as gs
 from sneakpath.channel import ChannelParams, compute_sneak_mask, read_array
 from sneakpath.detectors import (
-    ThresholdDetector,
     classify_array,
     default_grid,
     derive_threshold,
     pipeline_detect,
+    threshold_detect,
 )
 
 PARAMS = ChannelParams(sigma=0.0, p_f=0.0)
 RNG = np.random.default_rng(1)  # at sigma = 0 its draws are all +0.0, so reads are nominal
 
 
-class TestThresholdDetector:
+class TestThresholdDetect:
     def test_midpoint_value(self):
-        assert ThresholdDetector.midpoint(PARAMS).r_th == 550.0
+        assert PARAMS.midpoint == 550.0
 
     def test_decisions(self):
-        det = ThresholdDetector(550.0)
         r = np.array([[100.0, 1000.0], [200.0, 550.0]])
         # 200 ohm = sneak-path-affected HRS reads as '1' (the 0 -> 1 error mode);
         # exact threshold ties resolve to 0.
-        assert det.detect(r).tolist() == [[1, 0], [1, 0]]
+        assert threshold_detect(r, 550.0).tolist() == [[1, 0], [1, 0]]
 
     def test_out_of_range_raises(self):
         # Every Scenario checks the range, not only the CLI's.
         def scenario(r_th):
-            return analysis.Scenario(analysis.PIPELINE_THRESHOLD, PARAMS,
-                                     spi_detector=ThresholdDetector(r_th))
+            return analysis.Scenario(analysis.PIPELINE_THRESHOLD, PARAMS, threshold=r_th)
 
         for r_th in (50.0, 100.0, 1000.0, 1700.0):
             with pytest.raises(ValueError, match="outside"):
                 scenario(r_th)
-        assert scenario(170.0).spi_detector.r_th == 170.0
+        assert scenario(170.0).threshold == 170.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
         r = rng.uniform(50, 1100, (16, 16))
-        prev = ThresholdDetector(100.0).detect(r)
+        prev = threshold_detect(r, 100.0)
         for t in np.linspace(150, 1050, 19):
-            cur = ThresholdDetector(t).detect(r)
+            cur = threshold_detect(r, t)
             assert (cur >= prev).all()
             prev = cur
 
@@ -52,7 +50,7 @@ class TestClassifyArray:
     def test_clean_channel_is_free(self):
         a = np.kron(np.eye(2, dtype=int), np.ones((4, 4), dtype=int))
         reads = read_array(a, np.zeros_like(a), PARAMS, RNG)
-        est = ThresholdDetector.midpoint(PARAMS).detect(reads)
+        est = threshold_detect(reads, PARAMS.midpoint)
         cls = classify_array(est, gs.tile_weights(a, 4), 4)
         assert not cls.affected
 
@@ -60,7 +58,7 @@ class TestClassifyArray:
         a = np.array([[0, 1], [1, 1]])
         e = compute_sneak_mask(a, np.ones_like(a))
         reads = read_array(a, e, PARAMS, RNG)
-        est = ThresholdDetector.midpoint(PARAMS).detect(reads)
+        est = threshold_detect(reads, PARAMS.midpoint)
         cls = classify_array(est, [int(a.sum())], 2)
         assert cls.affected
         assert est.sum() == a.sum() + 1  # detected weight exceeds stored by one
@@ -123,6 +121,15 @@ class TestDeriveThreshold:
         with pytest.raises(ValueError):
             derive_threshold([], [], np.array([550.0]))
 
+    def test_empty_grid(self):
+        # r0 - r1 <= 1 ohm leaves no 1-ohm step strictly between them.
+        narrow = ChannelParams(r0=100.5, r1=100.0)
+        with pytest.raises(ValueError, match="empty threshold grid"):
+            default_grid(narrow)
+        reads, hard = [np.full((2, 2), 100.2)], [np.ones((2, 2), dtype=int)]
+        with pytest.raises(ValueError, match="empty threshold grid"):
+            derive_threshold(reads, hard, np.empty(0))
+
     def test_misaligned_pool(self):
         reads = [np.full((2, 2), 150.0), np.full((2, 2), 900.0)]
         with pytest.raises(ValueError, match="misaligned"):
@@ -148,7 +155,7 @@ class TestPipeline:
 
         def spi(r):
             calls.append(r)
-            return ThresholdDetector(150.0).detect(r)
+            return threshold_detect(r, 150.0)
 
         est = pipeline_detect(reads, [int(a.sum())], 2, PARAMS, spi)
         assert len(calls) == 1  # the flagged array was re-detected
@@ -175,6 +182,5 @@ def test_one_class_pool_gives_a_threshold_scenario_accepts(decision, expected):
     hard = [np.full((2, 2), decision)] * 3
     r_th = derive_threshold(reads, hard, default_grid(PARAMS)).r_th_spi
     assert r_th == expected
-    scn = analysis.Scenario(analysis.PIPELINE_THRESHOLD, PARAMS,
-                            spi_detector=ThresholdDetector(r_th))
-    assert scn.spi_detector.r_th == r_th
+    scn = analysis.Scenario(analysis.PIPELINE_THRESHOLD, PARAMS, threshold=r_th)
+    assert scn.threshold == r_th

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sneakpath import codec as gs
 from sneakpath import analysis, mlp
 from sneakpath.channel import ChannelParams
-from sneakpath.detectors import ThresholdDetector, classify_array
+from sneakpath.detectors import classify_array, threshold_detect
 
 
 def finite_difference_grads(model, X, Y, step=1e-6):
@@ -234,10 +234,9 @@ class TestDataset:
         params = ChannelParams(sigma=30.0, p_f=1e-3)
         cfg = gs.CodecConfig.make(8, 4)
         ds = mlp.generate_dataset(params, cfg, 20, mlp.AFFECTED_ONLY, seed=2)
-        det = ThresholdDetector.midpoint(params)
         for x, y in zip(ds.inputs, ds.labels):
             reads = (x / (1.0 / params.r0)).reshape(16, 16)
-            est = det.detect(reads)
+            est = threshold_detect(reads, params.midpoint)
             weights = gs.tile_weights(y.reshape(16, 16), 8)
             assert classify_array(est, weights, 8).affected
 

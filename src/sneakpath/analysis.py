@@ -6,6 +6,9 @@ candidate rectangles has an LRS diagonal cell with a failed selector.
 It feeds a two-term lower bound on BER: unaffected cells fail like a
 midpoint detector in Gaussian noise, affected cells like a detector
 separating the parasitic HRS level from LRS.
+
+The harness simulates trials in blocks of at most ``BLOCK_CELLS`` cells
+(:func:`simulate_block`); trial t's draws depend on (seed, t) alone.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from functools import partial
 import numpy as np
 
 from . import codec as gs
-from .channel import ChannelParams, random_array, transmit
-from .detectors import classify_array, pipeline_detect, threshold_detect
+# transmit and classify_array stay bound for bench/test_bench.py's tracer test.
+from .channel import (ChannelParams, compute_sneak_mask, random_array,  # noqa: F401
+                      read_levels, sample_failures, transmit)
+from .detectors import classify_array, pipeline_detect, threshold_detect  # noqa: F401
 from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
@@ -191,55 +196,81 @@ def confidently_le(a: BerEstimate, b: BerEstimate) -> bool:
     return le_zscore(a, b) <= 1.645
 
 
+# Trials are simulated in blocks of at most this many cells (256 trials at n = 16),
+# so NumPy's per-call cost is paid per block while temporaries stay small.
+BLOCK_CELLS = 1 << 16
+
+
+def trial_blocks(trials: int, n: int):
+    """Consecutive ranges covering ``range(trials)``, each of at most BLOCK_CELLS cells."""
+    size = max(1, BLOCK_CELLS // (n * n))
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+
+
+def _stack(master_seed: int, trials, stream: int, draw, shape) -> np.ndarray:
+    """Row i is ``draw(rng)`` on the ``stream`` generator of trial ``trials[i]``."""
+    rows = [draw(derive_rng(master_seed, int(t), stream)) for t in trials]
+    return np.array(rows).reshape(len(rows), *shape)  # the shape holds for no trials too
+
+
+def write_block(scn: Scenario, master_seed: int, trials):
+    """Stacked (payload or None, bits, tile_weights(bits, tile), tile) of ``trials``."""
+    n, cfg = scn.params.n, scn.codec
+    if cfg is None:
+        bits = _stack(master_seed, trials, STREAM_DATA, partial(random_array, n, scn.q), (n, n))
+        bits = bits.astype(np.int64)  # int64 already, unless there are no trials
+        return None, bits, gs.tile_weights(bits, n), n
+    length = gs.payload_length(cfg, n)
+    payload = _stack(master_seed, trials, STREAM_DATA, lambda rng: rng.random(length) < scn.q,
+                     (length,)).astype(np.int64)
+    bits = gs.encode_array(payload, cfg, n).bits
+    return payload, bits, gs.tile_weights(bits, cfg.m), cfg.m
+
+
 def write_trial(scn: Scenario, master_seed: int, trial: int):
-    """One trial's stored array: (payload, bits, tile_weights(bits, tile), tile)."""
-    data_rng = derive_rng(master_seed, trial, STREAM_DATA)
-    if scn.codec is not None:
-        payload = (data_rng.random(gs.payload_length(scn.codec, scn.params.n)) < scn.q)
-        payload = payload.astype(np.int64)
-        bits, tile = gs.encode_array(payload, scn.codec, scn.params.n).bits, scn.codec.m
-    else:
-        payload, bits, tile = None, random_array(scn.params.n, scn.q, data_rng), scn.params.n
-    return payload, bits, gs.tile_weights(bits, tile), tile
+    """One trial's row of :func:`write_block`."""
+    payload, bits, weights, tile = write_block(scn, master_seed, [trial])
+    return None if payload is None else payload[0], bits[0], weights[0], tile
 
 
-def simulate_trial(scn: Scenario, master_seed: int, trial: int):
-    """Write one trial's array and pass it through the channel.
+def simulate_block(scn: Scenario, master_seed: int, trials, skip=None):
+    """:func:`write_block`'s tuple plus the reads: the one place streams are drawn.
 
-    The one place a trial's data, failure and noise streams are drawn;
-    returns (payload, bits, weights, tile, reads).
-    """
-    payload, bits, weights, tile = write_trial(scn, master_seed, trial)
-    _, _, reads = transmit(bits, scn.params, derive_rng(master_seed, trial, STREAM_FAILURES),
-                           derive_rng(master_seed, trial, STREAM_NOISE))
+    Trial t draws from ``derive_rng(master_seed, t, stream)`` with :func:`write_trial`'s
+    and :func:`channel.transmit`'s calls, whatever its block.  Trials where
+    ``skip(fails, noise)`` holds are dropped before their data is drawn."""
+    p = scn.params
+    fails = _stack(master_seed, trials, STREAM_FAILURES, partial(sample_failures, p), (p.n, p.n))
+    noise = _stack(master_seed, trials, STREAM_NOISE,
+                   lambda rng: rng.normal(0.0, p.sigma, (p.n, p.n)), (p.n, p.n))
+    if skip is not None:
+        kept = ~skip(fails, noise)
+        trials, fails, noise = np.asarray(trials)[kept], fails[kept], noise[kept]
+    payload, bits, weights, tile = write_block(scn, master_seed, trials)
+    reads = read_levels(bits, compute_sneak_mask(bits, fails), p) + noise
     return payload, bits, weights, tile, reads
-
-
-def detect_trial(scn: Scenario, reads: np.ndarray, weights: np.ndarray, tile: int) -> np.ndarray:
-    if scn.detector == MIDPOINT:
-        return threshold_detect(reads, scn.params.midpoint)
-    from .mlp import hard_decide
-    if scn.detector == MLP_ALL:
-        return hard_decide(scn.model, reads)
-    redetect = (partial(hard_decide, scn.model) if scn.detector == PIPELINE_DL
-                else partial(threshold_detect, r_th=scn.threshold))
-    return pipeline_detect(reads, weights, tile, scn.params, redetect)
 
 
 def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
     """Run independent encode -> channel -> detect passes and count errors."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    user_errors = 0
-    user_bits = 0
+    from .mlp import hard_decide
+    redetect = (partial(threshold_detect, r_th=scn.threshold) if scn.detector == PIPELINE_THRESHOLD
+                else partial(hard_decide, scn.model))
+    user_errors = user_bits = 0
     trial_errors = np.zeros(trials, dtype=np.int64)
-    for trial in range(trials):
-        payload, bits, weights, tile, reads = simulate_trial(scn, master_seed, trial)
-        est = detect_trial(scn, reads, weights, tile)
-        trial_errors[trial] = int((est != bits).sum())
+    for block in trial_blocks(trials, scn.params.n):
+        payload, bits, weights, tile, reads = simulate_block(scn, master_seed, block)
+        if scn.detector == MIDPOINT:
+            est = threshold_detect(reads, scn.params.midpoint)
+        elif scn.detector == MLP_ALL:
+            est = np.array([redetect(r) for r in reads])  # the network sees one array per call
+        else:
+            est = pipeline_detect(reads, weights, tile, scn.params, redetect)
+        trial_errors[block.start : block.stop] = (est != bits).sum(axis=(-2, -1))
         if payload is not None:
-            decoded = gs.decode_array(est, scn.codec)
-            user_errors += int((decoded != payload).sum())
+            user_errors += int((gs.decode_array(est, scn.codec) != payload).sum())
             user_bits += payload.size
     return BerEstimate(
         detector=scn.label, sigma=scn.params.sigma, p_f=scn.params.p_f, rate=scn.rate,
@@ -250,7 +281,8 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
 
 def empirical_one_density(scn: Scenario, master_seed: int) -> float:
     """Post-coding '1'-density of 200 written arrays, used as q when bounding coded scenarios."""
-    ones = sum(int(write_trial(scn, master_seed, trial)[1].sum()) for trial in range(200))
+    ones = sum(int(write_block(scn, master_seed, block)[1].sum())
+               for block in trial_blocks(200, scn.params.n))
     return ones / (200 * scn.params.n ** 2)
 
 

@@ -8,7 +8,7 @@ diagonal cell (u, v); the parasitic branch ``r_sp`` then appears in
 parallel with ``r0``.  Additive Gaussian noise models everything else.
 
 Every sampling function takes a ``np.random.Generator``; which stream a
-trial draws from is decided by :func:`analysis.simulate_trial` alone.
+trial draws from is decided by :func:`analysis.simulate_block` alone.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class ChannelParams:
 
 def _check_binary(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix")
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be a 2-D matrix or a stack of them")
     if not ((a == 0) | (a == 1)).all():
         raise ValueError(f"{name} must be binary")
     return a.astype(np.int64, copy=False)
@@ -79,12 +79,14 @@ def sample_failures(params: ChannelParams, rng: np.random.Generator) -> np.ndarr
 def _rectangle_targets(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Count, per HRS cell (i, j), the (u, v) with A[i, v] = G[u, v] = A[u, j] = 1.
 
-    The u == i and v == j terms carry the factor A[i, j] = 0; LRS cells count zero."""
-    return (a @ g.T @ a) * (1 - a)
+    The u == i and v == j terms carry the factor A[i, j] = 0; LRS cells count zero.
+    Float64 holds the counts (at most n^2) exactly, so a (..., N, N) stack runs in BLAS."""
+    a = a.astype(np.float64)
+    return (a @ g.mT.astype(np.float64) @ a) * (1.0 - a)
 
 
 def compute_sneak_mask(a: np.ndarray, fails: np.ndarray) -> np.ndarray:
-    """Mark the HRS cells whose readout is sneak-path-affected."""
+    """Mark the HRS cells whose readout is sneak-path-affected, in an array or a stack."""
     a = _check_binary(a, "cell array")
     fails = _check_binary(fails, "failure mask")
     if a.shape != fails.shape:
@@ -103,15 +105,19 @@ def count_possible_sneak_paths(a: np.ndarray) -> int:
     return int(_rectangle_targets(a, a).sum())
 
 
-def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams,
-               rng: np.random.Generator) -> np.ndarray:
-    """Measured resistances per Eq-style readout: nominal value plus noise."""
+def read_levels(a: np.ndarray, e: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """Noise-free readout of an array or a stack: r1 (LRS), r0 || r_sp (affected HRS) or r0."""
     a = _check_binary(a, "cell array")
     e = _check_binary(e, "sneak mask")
     if a.shape != e.shape:
         raise ValueError("cell array and sneak mask dimensions differ")
-    nominal = np.where(a == 1, params.r1, np.where(e == 1, params.r0_sp, params.r0))
-    return nominal + rng.normal(0.0, params.sigma, a.shape)
+    return np.where(a == 1, params.r1, np.where(e == 1, params.r0_sp, params.r0))
+
+
+def read_array(a: np.ndarray, e: np.ndarray, params: ChannelParams,
+               rng: np.random.Generator) -> np.ndarray:
+    """Measured resistances per Eq-style readout: nominal value plus noise."""
+    return read_levels(a, e, params) + rng.normal(0.0, params.sigma, np.shape(a))
 
 
 def transmit(a: np.ndarray, params: ChannelParams, fail_rng, noise_rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ GF(2) matrices per (g, tile size), :func:`_matrices`, so :func:`scramble`
 and :func:`descramble` are one matmul each over one M x M tile or a
 ``(..., M, M)`` stack of them.
 
-:func:`encode_array` handles every tile of an array in one pass.  One
+:func:`encode_array` handles the tiles of many arrays in one pass.  One
 GF(2) matmul scrambles each tile's index-0 word; by linearity each other
 candidate is that word xored with a fixed, cached pattern per index, so
 candidates are formed and scored in packed integer form and only the
@@ -48,8 +48,8 @@ class Criterion(enum.Enum):
 # their codes (65,536 entries at m = 4); larger tiles are scored from row words.
 CODE_CELLS = 16
 
-# Most candidate cells, 2**l * m^2 per tile and 2**l * n^2 per array (the encoder
-# scores an array's tiles together), so that no encoder temporary exceeds 8 MiB.
+# Most candidate cells, 2**l * m^2 per tile and 2**l * n^2 per array, and the most the
+# encoder scores in one chunk of tiles, so that no encoder temporary exceeds 8 MiB.
 CANDIDATE_CELLS = 1 << 20
 
 # Primitive polynomials used when a config gives only the redundancy l.
@@ -118,7 +118,8 @@ def _matrices(poly: tuple[int, ...], cells: int) -> tuple[np.ndarray, np.ndarray
 
     The register reads a tile's cells last first, so the delay from input
     cell i to output cell j is i - j: each matrix is lower-triangular
-    Toeplitz, ``mat[i, j] = h[i - j]`` for the map's impulse response h.
+    Toeplitz, ``mat[i, j] = h[i - j]`` for the map's impulse response h.  They are
+    float64, exact for sums of at most M^2, so that products run through BLAS.
     """
     delays = [poly[0] - e for e in poly]  # 0, then the feedback taps
     times_g = np.zeros(cells, dtype=np.int64)
@@ -128,7 +129,7 @@ def _matrices(poly: tuple[int, ...], cells: int) -> tuple[np.ndarray, np.ndarray
     for k in range(1, cells):
         over_g[k] = sum(over_g[k - d] for d in delays[1:] if d <= k) % 2
     lag = np.subtract.outer(np.arange(cells), np.arange(cells))
-    mats = np.tril(over_g[lag]), np.tril(times_g[lag])
+    mats = np.tril(over_g[lag]).astype(np.float64), np.tril(times_g[lag]).astype(np.float64)
     for mat in mats:
         mat.flags.writeable = False  # cached, so shared by every caller
     return mats
@@ -138,7 +139,8 @@ def _map_tiles(tiles: np.ndarray, poly: tuple[int, ...], inverse: bool) -> np.nd
     """Multiply each flattened tile by the scrambler or, if ``inverse``, the descrambler matrix."""
     tiles = np.asarray(tiles)
     flat = tiles.reshape(*tiles.shape[:-2], -1)
-    return (flat @ _matrices(poly, flat.shape[-1])[inverse] % 2).reshape(tiles.shape)
+    sums = flat.astype(np.float64) @ _matrices(poly, flat.shape[-1])[inverse]
+    return (sums.astype(np.int64) & 1).reshape(tiles.shape)
 
 
 def scramble(tiles: np.ndarray, poly: tuple[int, ...]) -> np.ndarray:
@@ -252,34 +254,46 @@ def payload_length(cfg: CodecConfig, n: int) -> int:
 
 
 def _tiles(bits: np.ndarray, m: int) -> np.ndarray:
-    """(N/m, N/m, m, m) view of an N x N array's row-major M x M tiles."""
-    n = bits.shape[0]
-    if bits.shape != (n, n) or n % m != 0:
+    """(..., T, m, m) row-major M x M tiles of (..., N, N) arrays."""
+    n, lead = bits.shape[-1], bits.shape[:-2]
+    if bits.ndim < 2 or bits.shape[-2] != n or n % m != 0:
         raise ValueError("array side must be a multiple of the tile side")
-    return bits.reshape(n // m, m, n // m, m).swapaxes(1, 2)
+    tiles = bits.reshape(*lead, n // m, m, n // m, m).swapaxes(-3, -2)
+    return tiles.reshape(*lead, (n // m) ** 2, m, m)
 
 
 def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
-    """Encode a payload into an N x N array of row-major M x M tiles (one tile if n == m)."""
-    payload = np.asarray(payload).reshape(-1)
-    if payload.size != payload_length(cfg, n):
-        raise ValueError(f"expected payload of {payload_length(cfg, n)} bits, got {payload.size}")
-    cands = candidate_set(payload, cfg)
-    scores = score_candidates(cands, cfg).reshape(-1, 1 << cfg.l)
-    chosen = scores.argmin(axis=1)  # ties: smallest index
-    per_tile = cands.reshape(len(scores), 1 << cfg.l, -1)
-    tiles = _unpack(per_tile[np.arange(len(scores)), chosen], cfg.m)
-    bits = np.zeros((n, n), dtype=np.int64)
-    _tiles(bits, cfg.m)[...] = tiles.reshape(n // cfg.m, n // cfg.m, cfg.m, cfg.m)
-    return EncodedArray(bits=bits, chosen_indices=chosen)
+    """Encode a payload, or a (..., L) stack of them, into N x N arrays of row-major
+    M x M tiles (one tile if n == m).  Tiles are scored in chunks of at most
+    ``CANDIDATE_CELLS`` candidate cells, several arrays' tiles per chunk."""
+    payload = np.asarray(payload)
+    length = payload_length(cfg, n)
+    if payload.shape[-1:] != (length,):
+        raise ValueError(f"expected payload of {length} bits, got shape {payload.shape}")
+    users = payload.reshape(-1, cfg.user_bits)  # one row per tile, arrays in order
+    per_chunk = CANDIDATE_CELLS // (cfg.m * cfg.m << cfg.l)
+    chosen = np.empty(len(users), dtype=np.int64)
+    tiles = np.empty((len(users), cfg.m, cfg.m), dtype=np.int64)
+    for start in range(0, len(users), per_chunk):
+        cands = candidate_set(users[start : start + per_chunk], cfg)
+        scores = score_candidates(cands, cfg).reshape(-1, 1 << cfg.l)
+        pick = chosen[start : start + per_chunk] = scores.argmin(axis=1)  # ties: smallest index
+        rows = (np.arange(len(pick)) << cfg.l) + pick  # tile t's candidate i is row t * 2**l + i
+        tiles[start : start + per_chunk] = _unpack(cands[rows], cfg.m)
+    lead, side = payload.shape[:-1], n // cfg.m
+    bits = tiles.reshape(*lead, side, side, cfg.m, cfg.m).swapaxes(-3, -2).reshape(*lead, n, n)
+    return EncodedArray(bits=bits, chosen_indices=chosen.reshape(*lead, side * side))
 
 
 def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Decode an N x N array, or one M x M sub-array, back into its payload bits."""
-    words = descramble(_tiles(np.asarray(bits), cfg.m), cfg.poly).reshape(-1, cfg.m * cfg.m)
-    return words[:, : cfg.user_bits].reshape(-1)  # drop each tile's augmentation bits
+    """Decode an N x N array, one M x M sub-array, or a (..., N, N) stack of either,
+    back into its (..., L) payload bits."""
+    tiles = descramble(_tiles(np.asarray(bits), cfg.m), cfg.poly)
+    words = tiles.reshape(*tiles.shape[:-2], cfg.m * cfg.m)[..., : cfg.user_bits]  # drop index bits
+    return words.reshape(*words.shape[:-2], words.shape[-2] * cfg.user_bits)
 
 
 def tile_weights(bits: np.ndarray, m: int) -> np.ndarray:
-    """Per-tile popcounts in row-major tile order: the side information written and checked."""
-    return _tiles(bits, m).sum(axis=(2, 3)).reshape(-1)
+    """Per-tile popcounts in row-major tile order, (..., T) for (..., N, N) arrays: the
+    side information written and checked."""
+    return _tiles(bits, m).sum(axis=(-2, -1))

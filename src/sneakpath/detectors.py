@@ -28,13 +28,18 @@ class Classification:
     affected: bool
 
 
-def classify_array(detected: np.ndarray, weights, m: int) -> Classification:
-    """Weight-comparator verdict: any tile popcount mismatch flags the array."""
+def flag_arrays(detected: np.ndarray, weights, m: int) -> np.ndarray:
+    """Weight-comparator verdict per array of a stack: any tile popcount mismatch flags it."""
     got = tile_weights(detected, m)
     weights = np.asarray(weights)
     if got.shape != weights.shape:
-        raise ValueError(f"expected {got.size} tile weights, got shape {weights.shape}")
-    return Classification(affected=bool(np.count_nonzero(got != weights)))
+        raise ValueError(f"expected tile weights of shape {got.shape}, got {weights.shape}")
+    return (got != weights).any(axis=-1)
+
+
+def classify_array(detected: np.ndarray, weights, m: int) -> Classification:
+    """:func:`flag_arrays`' verdict on one array."""
+    return Classification(affected=bool(flag_arrays(detected, weights, m)))
 
 
 @dataclass
@@ -82,6 +87,10 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
 
 def pipeline_detect(reads: np.ndarray, weights, m: int, params: ChannelParams,
                     redetect) -> np.ndarray:
-    """Midpoint detect and classify; a flagged array is re-detected as ``redetect(reads)``."""
+    """Midpoint detect and classify one array or a (..., N, N) stack; each flagged
+    array is re-detected alone, as ``redetect(its reads)``."""
     est = threshold_detect(reads, params.midpoint)
-    return redetect(reads) if classify_array(est, weights, m).affected else est
+    rows, est_rows = reads.reshape(-1, *reads.shape[-2:]), est.reshape(-1, *est.shape[-2:])
+    for i in np.flatnonzero(flag_arrays(est, weights, m)):
+        est_rows[i] = redetect(rows[i])  # est_rows is a view of est
+    return est

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec as gs
-from .analysis import MIDPOINT, Scenario, simulate_trial
-# transmit and derive_rng are unused here, but stay bound for
-# bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_it.
+from .analysis import MIDPOINT, Scenario, simulate_block, trial_blocks
+# transmit, classify_array and derive_rng stay bound for bench/test_bench.py's tracer test.
 from .channel import ChannelParams, transmit  # noqa: F401
-from .detectors import (ThresholdSearchResult, classify_array, default_grid, derive_threshold,
-                        threshold_detect)
+from .detectors import (ThresholdSearchResult, classify_array, default_grid,  # noqa: F401
+                        derive_threshold, flag_arrays, threshold_detect)
 from .rng import derive_rng  # noqa: F401
 
 MAGIC = b"SPMLP1"
@@ -199,13 +198,21 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+def _unflaggable(params: ChannelParams, fails: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Attempts the comparator cannot flag whatever their data: no selector failed, and each
+    cell's read detects right both as LRS (r1 + z < midpoint) and as HRS (r0 + z >= it)."""
+    right = (params.r1 + noise < params.midpoint) & (params.r0 + noise >= params.midpoint)
+    return ~fails.any(axis=(-2, -1)) & right.all(axis=(-2, -1))
+
+
 def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: int,
                      class_filter: str, seed: int, q: float = 0.5) -> Dataset:
     """Sample (reads / r0, stored bits) pairs through encode -> write -> read.
 
-    Attempt ``i`` is trial ``i`` of :func:`analysis.simulate_trial`.
-    ``class_filter`` AFFECTED_ONLY keeps only arrays the weight comparator
-    flags as sneak-path-affected; the sampler gives up with
+    Attempt ``i`` is trial ``i`` of :func:`analysis.simulate_block`, as in
+    :func:`analysis.estimate_ber`.  ``class_filter`` AFFECTED_ONLY keeps only arrays
+    the weight comparator flags as sneak-path-affected, and draws no data for an
+    attempt it cannot flag (:func:`_unflaggable`); the sampler gives up with
     :class:`FilterStarvationError` after ``DATASET_BUDGET * count`` attempts.
     """
     if count < 1:
@@ -217,15 +224,18 @@ def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: i
     inputs = np.empty((count, params.n * params.n))
     labels = np.empty((count, params.n * params.n), dtype=np.int64)
     kept = 0
+    affected_only = class_filter == AFFECTED_ONLY
     budget = DATASET_BUDGET * count
-    for attempt in range(budget):
-        _, bits, weights, tile, reads = simulate_trial(scn, seed, attempt)
-        if class_filter == AFFECTED_ONLY:
-            if not classify_array(threshold_detect(reads, params.midpoint), weights, tile).affected:
-                continue
-        inputs[kept] = reads.reshape(-1) * norm
-        labels[kept] = bits.reshape(-1)
-        kept += 1
+    skip = (lambda fails, noise: _unflaggable(params, fails, noise)) if affected_only else None
+    for block in trial_blocks(budget if affected_only else count, params.n):
+        _, bits, weights, tile, reads = simulate_block(scn, seed, block, skip)
+        if affected_only:
+            flagged = flag_arrays(threshold_detect(reads, params.midpoint), weights, tile)
+            bits, reads = bits[flagged], reads[flagged]
+        take = min(count - kept, len(bits))
+        inputs[kept : kept + take] = reads[:take].reshape(-1, inputs.shape[1]) * norm
+        labels[kept : kept + take] = bits[:take].reshape(-1, labels.shape[1])
+        kept += take
         if kept == count:
             break
     else:

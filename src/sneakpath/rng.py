@@ -2,8 +2,9 @@
 
 Every experiment owns one master seed.  Each trial derives its own
 independent generators from (master seed, trial index, stream tag), so
-trials can run in any order, or in parallel, and still reproduce
-bit-for-bit.
+trials can run in any order, in blocks of any size, or in parallel, and
+still reproduce bit-for-bit.  :func:`analysis.simulate_block` draws a
+block's trials, one generator per (trial, stream).
 """
 
 from __future__ import annotations

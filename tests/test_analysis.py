@@ -186,7 +186,9 @@ class TestEstimateBer:
         est = analysis.estimate_ber(scn, 30, 8)
         expected = []
         for trial in range(30):
-            _, bits, _, _, reads = analysis.simulate_trial(scn, 8, trial)
+            _, bits, _, _ = analysis.write_trial(scn, 8, trial)
+            _, _, reads = transmit(bits, params, derive_rng(8, trial, STREAM_FAILURES),
+                                   derive_rng(8, trial, STREAM_NOISE))
             expected.append(int((mlp.hard_decide(model, reads) != bits).sum()))
         assert est.trial_errors.tolist() == expected
         midpoint = analysis.estimate_ber(analysis.Scenario(analysis.MIDPOINT, params), 30, 8)
@@ -259,26 +261,45 @@ SIM_CODECS = [None, gs.CodecConfig.make(8, 4), gs.CodecConfig.make(4, 8),
               gs.CodecConfig.make(4, 8, criterion=gs.Criterion.MIN_WEIGHT)]
 
 
-class TestSimulateTrial:
+class TestSimulateBlock:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**6),
+    @given(seed=st.integers(0, 2**32 - 1),
+           trials=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
            codec=st.sampled_from(SIM_CODECS), sigma=st.sampled_from([0.0, 30.0]),
            p_f=st.sampled_from([0.0, 1e-2, 0.2]), q=st.sampled_from([0.2, 0.5]))
-    def test_equals_write_trial_then_transmit(self, seed, trial, codec, sigma, p_f, q):
+    def test_rows_equal_write_trial_then_transmit(self, seed, trials, codec, sigma, p_f, q):
+        # Any trials, in any order: a row depends on its trial's streams alone.
         scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(sigma=sigma, p_f=p_f),
                                 codec=codec, q=q)
-        payload, bits, weights, tile, reads = analysis.simulate_trial(scn, seed, trial)
-        w_payload, w_bits, w_weights, w_tile = analysis.write_trial(scn, seed, trial)
-        _, _, w_reads = transmit(w_bits, scn.params, derive_rng(seed, trial, STREAM_FAILURES),
-                                 derive_rng(seed, trial, STREAM_NOISE))
+        payload, bits, weights, tile, reads = analysis.simulate_block(scn, seed, trials)
         assert (payload is None) == (codec is None)
-        if codec is not None:
-            assert np.array_equal(payload, w_payload)
-        assert np.array_equal(bits, w_bits)
-        assert np.array_equal(weights, w_weights) and weights.dtype == np.int64
-        assert tile == w_tile
-        assert np.array_equal(reads, w_reads)
-        assert weights.sum() == bits.sum()
+        assert weights.dtype == np.int64 and bits.dtype == np.int64
+        for row, trial in enumerate(trials):
+            w_payload, w_bits, w_weights, w_tile = analysis.write_trial(scn, seed, trial)
+            _, _, w_reads = transmit(w_bits, scn.params,
+                                     derive_rng(seed, trial, STREAM_FAILURES),
+                                     derive_rng(seed, trial, STREAM_NOISE))
+            if codec is not None:
+                assert np.array_equal(payload[row], w_payload)
+            assert np.array_equal(bits[row], w_bits)
+            assert np.array_equal(weights[row], w_weights)
+            assert tile == w_tile
+            assert np.array_equal(reads[row], w_reads)
+            assert weights[row].sum() == bits[row].sum()
+
+    def test_skip_drops_trials_before_their_data_is_drawn(self, monkeypatch):
+        scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(sigma=30.0, p_f=1e-2))
+        full = analysis.simulate_block(scn, 3, range(6))
+        drawn = []
+        derive = analysis.derive_rng
+        monkeypatch.setattr(analysis, "derive_rng",
+                            lambda *key: drawn.append(key) or derive(*key))
+        odd = analysis.simulate_block(scn, 3, range(6),
+                                      skip=lambda fails, noise: np.arange(6) % 2 == 0)
+        for whole, part in zip(full[1:], odd[1:]):
+            if isinstance(whole, np.ndarray):
+                assert np.array_equal(part, whole[1::2])
+        assert [t for _, t, stream in drawn if stream == STREAM_DATA] == [1, 3, 5]
 
 
 class TestWriteTrial:

@@ -149,6 +149,13 @@ class TestSneakMask:
         assert (after >= before).all()
 
     @settings(max_examples=40, deadline=None)
+    @given(stack=arrays(np.int64, (4, 2, 5, 5), elements=st.integers(0, 1)))
+    def test_a_stack_is_masked_array_by_array(self, stack):
+        a, fails = stack[:, 0], stack[:, 1]
+        expected = [brute_sneak_mask(x, f) for x, f in zip(a, fails)]
+        assert np.array_equal(compute_sneak_mask(a, fails), expected)
+
+    @settings(max_examples=40, deadline=None)
     @given(a=binary_matrix)
     def test_all_failed_mask_marks_every_possible_path(self, a):
         e = compute_sneak_mask(a, np.ones_like(a))
@@ -157,6 +164,12 @@ class TestSneakMask:
 
 
 class TestPossiblePathCount:
+    def test_one_hrs_cell_in_a_large_lrs_array(self):
+        # Its (n - 1)^2 paths are summed in one float64 product, which must be exact.
+        a = np.ones((128, 128), dtype=int)
+        a[0, 0] = 0
+        assert count_possible_sneak_paths(a) == 127 ** 2
+
     def test_all_zero(self):
         assert count_possible_sneak_paths(np.zeros((4, 4), dtype=int)) == 0
 

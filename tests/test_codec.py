@@ -310,6 +310,31 @@ class TestEncodeArray:
             with pytest.raises(ValueError, match="multiple of the tile side"):
                 gs.tile_weights(bits, 8)
 
+    @pytest.mark.parametrize("m,l", [(8, 4), (4, 8)])
+    def test_a_stack_is_encoded_array_by_array(self, m, l, monkeypatch):
+        # 4 x 4 / l = 8 scores 16 arrays (2^20 candidate cells) per chunk: 37 arrays
+        # take three chunks; 8 x 8 / l = 4 fits 256 arrays in one.
+        cfg = gs.CodecConfig.make(m, l)
+        rng = np.random.default_rng(9)
+        payloads = (rng.random((37, gs.payload_length(cfg, 16))) < 0.5).astype(np.int64)
+        calls = []
+        score = gs.score_candidates
+        monkeypatch.setattr(gs, "score_candidates",
+                            lambda cands, c: calls.append(len(cands)) or score(cands, c))
+        enc = gs.encode_array(payloads.reshape(37, 1, -1), cfg, 16)
+        per_array = (16 // m) ** 2 << l
+        assert calls == [min(gs.CANDIDATE_CELLS // (m * m), 37 * per_array - done)
+                         for done in range(0, 37 * per_array, gs.CANDIDATE_CELLS // (m * m))]
+        assert enc.bits.shape == (37, 1, 16, 16)
+        assert enc.chosen_indices.shape == (37, 1, (16 // m) ** 2)
+        for payload, bits, chosen in zip(payloads, enc.bits[:, 0], enc.chosen_indices[:, 0]):
+            one = gs.encode_array(payload, cfg, 16)
+            assert np.array_equal(bits, one.bits)
+            assert np.array_equal(chosen, one.chosen_indices)
+        assert np.array_equal(gs.decode_array(enc.bits, cfg), payloads.reshape(37, 1, -1))
+        weights = gs.tile_weights(enc.bits[:, 0], m)
+        assert weights.tolist() == [gs.tile_weights(b, m).tolist() for b in enc.bits[:, 0]]
+
     @settings(max_examples=25, deadline=None)
     @given(payload=arrays(np.int64, 240, elements=st.integers(0, 1)))
     def test_roundtrip_property(self, payload):

@@ -161,6 +161,29 @@ class TestPipeline:
         assert len(calls) == 1  # the flagged array was re-detected
         assert np.array_equal(est, a)  # 150 ohm threshold resolves the 200 ohm cell
 
+    def test_a_stack_is_detected_array_by_array(self):
+        params = ChannelParams(n=8, sigma=30.0, p_f=0.05)
+        rng = np.random.default_rng(4)
+        a = (rng.random((12, 8, 8)) < 0.5).astype(np.int64)
+        e = compute_sneak_mask(a, (rng.random((12, 8, 8)) < params.p_f).astype(np.int64))
+        reads = read_array(a, e, params, rng)
+        weights = gs.tile_weights(a, 4)
+        calls = []
+
+        def spi(r):
+            calls.append(r)
+            return threshold_detect(r, 150.0)
+
+        est = pipeline_detect(reads, weights, 4, params, spi)
+        flagged = [classify_array(threshold_detect(r, params.midpoint), w, 4).affected
+                   for r, w in zip(reads, weights)]
+        assert 0 < sum(flagged) < len(flagged)
+        # Each flagged array is re-detected on its own, in stack order.
+        assert len(calls) == sum(flagged)
+        assert all(np.array_equal(c, r) for c, r in zip(calls, reads[flagged]))
+        one_by_one = [pipeline_detect(r, w, 4, params, spi) for r, w in zip(reads, weights)]
+        assert np.array_equal(est, one_by_one)
+
 
 def test_default_grid_covers_r1_to_r0():
     # The open interval: r1 and r0 themselves are thresholds Scenario rejects.

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from sneakpath import codec as gs
 from sneakpath import analysis, mlp
-from sneakpath.channel import ChannelParams
+from sneakpath.channel import ChannelParams, transmit
 from sneakpath.detectors import classify_array, threshold_detect
+from sneakpath.rng import STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
 def finite_difference_grads(model, X, Y, step=1e-6):
@@ -227,7 +228,8 @@ class TestDataset:
         for i, (inputs, labels) in enumerate(zip(ds.inputs, ds.labels)):
             _, bits, _, _ = analysis.write_trial(scn, 8, i)
             assert np.array_equal(labels, bits.reshape(-1))
-            reads = analysis.simulate_trial(scn, 8, i)[-1]
+            _, _, reads = transmit(bits, params, derive_rng(8, i, STREAM_FAILURES),
+                                   derive_rng(8, i, STREAM_NOISE))
             assert np.array_equal(inputs, reads.reshape(-1) * (1.0 / params.r0))
 
     def test_affected_only_reverified(self):

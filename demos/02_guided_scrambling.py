@@ -24,13 +24,16 @@ scores = gs.score_candidates(cands, cfg)
 print("\npossible-sneak-path count of each scrambled candidate:")
 print(scores)
 
-enc = gs.encode_array(user, cfg, cfg.m)  # one m x m sub-array
-print(f"selected index {enc.chosen_indices[0]} with "
-      f"{count_possible_sneak_paths(enc.bits)} possible paths "
+stored = gs.encode_array(user, cfg, cfg.m)  # one m x m sub-array
+# The selected index is not stored apart: it is the descrambled tile's trailing l bits.
+index_bits = gs.descramble(stored, cfg.poly).reshape(-1)[cfg.user_bits:]
+index = int("".join(map(str, index_bits)), 2)
+print(f"selected index {index} with "
+      f"{count_possible_sneak_paths(stored)} possible paths "
       f"(raw data word has "
       f"{count_possible_sneak_paths(gs.augment(user, 0, cfg))})")
 
-decoded = gs.decode_array(enc.bits, cfg)
+decoded = gs.decode_array(stored, cfg)
 print(f"decode recovers the user bits exactly: {np.array_equal(decoded, user)}")
 
 # Averaged over many words, selection also thins out the '1' density.
@@ -39,8 +42,8 @@ chosen_paths = []
 ones = 0
 for w in words:
     e = gs.encode_array(w, cfg, cfg.m)
-    chosen_paths.append(count_possible_sneak_paths(e.bits))
-    ones += e.bits.sum()
+    chosen_paths.append(count_possible_sneak_paths(e))
+    ones += e.sum()
 raw_paths = [count_possible_sneak_paths(gs.augment(w, 0, cfg)) for w in words]
 print(f"\nover {len(words)} random words:")
 print(f"  mean possible paths, raw word:      {np.mean(raw_paths):7.1f}")

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import codec as gs
 # transmit and classify_array stay bound for bench/test_bench.py's tracer test.
-from .channel import (ChannelParams, compute_sneak_mask, random_array,  # noqa: F401
-                      read_levels, sample_failures, transmit)
+from .channel import (ChannelParams, compute_sneak_mask, read_levels,  # noqa: F401
+                      sample_failures, transmit)
 from .detectors import classify_array, pipeline_detect, threshold_detect  # noqa: F401
 from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
@@ -121,7 +121,7 @@ class Scenario:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
         if self.codec is not None:
-            gs.payload_length(self.codec, self.params.n)  # rejects an untileable or oversized array
+            gs.payload_length(self.codec, self.params.n)  # rejects an array the code cannot tile
 
     @property
     def rate(self) -> float:
@@ -214,17 +214,17 @@ def _stack(master_seed: int, trials, stream: int, draw, shape) -> np.ndarray:
 
 
 def write_block(scn: Scenario, master_seed: int, trials):
-    """Stacked (payload or None, bits, tile_weights(bits, tile), tile) of ``trials``."""
+    """Stacked (payload or None, bits, tile_weights(bits, tile), tile) of ``trials``.  Each
+    trial's data is ``rng.random(length) < q``: its n^2 cells uncoded, its payload coded."""
     n, cfg = scn.params.n, scn.codec
+    length = n * n if cfg is None else gs.payload_length(cfg, n)
+    data = _stack(master_seed, trials, STREAM_DATA, lambda rng: rng.random(length) < scn.q,
+                  (length,)).astype(np.int64)
     if cfg is None:
-        bits = _stack(master_seed, trials, STREAM_DATA, partial(random_array, n, scn.q), (n, n))
-        bits = bits.astype(np.int64)  # int64 already, unless there are no trials
-        return None, bits, gs.tile_weights(bits, n), n
-    length = gs.payload_length(cfg, n)
-    payload = _stack(master_seed, trials, STREAM_DATA, lambda rng: rng.random(length) < scn.q,
-                     (length,)).astype(np.int64)
-    bits = gs.encode_array(payload, cfg, n).bits
-    return payload, bits, gs.tile_weights(bits, cfg.m), cfg.m
+        payload, bits, tile = None, data.reshape(-1, n, n), n
+    else:
+        payload, bits, tile = data, gs.encode_array(data, cfg, n), cfg.m
+    return payload, bits, gs.tile_weights(bits, tile), tile
 
 
 def write_trial(scn: Scenario, master_seed: int, trial: int):

@@ -64,13 +64,6 @@ def _check_binary(a: np.ndarray, name: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def random_array(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample an n x n data array with i.i.d. Bernoulli(q) entries."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    return (rng.random((n, n)) < q).astype(np.int64)
-
-
 def sample_failures(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """Sample the selector failure mask, i.i.d. Bernoulli(p_f) per cell."""
     return (rng.random((params.n, params.n)) < params.p_f).astype(np.int64)

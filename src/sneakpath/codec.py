@@ -26,7 +26,8 @@ chosen tile per array position is unpacked.  A tile of at most
 lookup in a table over all its codes; a larger tile packs into one
 ``uint64`` word per row and is scored from popcounts of row pairs
 (:func:`_score_rows`), so tiles up to 64 x 64 are supported.  An array's
-side information has one definition, :func:`tile_weights`.
+side information has one definition, :func:`tile_weights`; a tile's chosen
+index is not kept, as it is the trailing l bits of the descrambled tile.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class Criterion(enum.Enum):
 # their codes (65,536 entries at m = 4); larger tiles are scored from row words.
 CODE_CELLS = 16
 
-# Most candidate cells, 2**l * m^2 per tile and 2**l * n^2 per array, and the most the
-# encoder scores in one chunk of tiles, so that no encoder temporary exceeds 8 MiB.
+# The encoder's one budget: a tile's 2**l * m^2 candidate cells must fit, and each chunk
+# of tiles scores at most this many, so that no encoder temporary exceeds 8 MiB.
 CANDIDATE_CELLS = 1 << 20
 
 # Primitive polynomials used when a config gives only the redundancy l.
@@ -104,12 +105,6 @@ class CodecConfig:
     @property
     def rate(self) -> float:
         return (self.m * self.m - self.l) / (self.m * self.m)
-
-
-@dataclass
-class EncodedArray:
-    bits: np.ndarray
-    chosen_indices: np.ndarray  # int64 augmentation index per tile
 
 
 @lru_cache(maxsize=None)
@@ -244,12 +239,9 @@ def score_candidates(candidates: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 
 
 def payload_length(cfg: CodecConfig, n: int) -> int:
-    """User bits of an N x N array; rejects an array the code cannot tile or encode."""
+    """User bits of an N x N array; rejects an array the code cannot tile."""
     if n % cfg.m != 0:
         raise ValueError("array side must be a multiple of the sub-array side")
-    if (n * n) << cfg.l > CANDIDATE_CELLS:
-        raise ValueError(f"2**l * n^2 = {(n * n) << cfg.l} candidate cells per array exceed "
-                         f"the encoder's budget of {CANDIDATE_CELLS}")
     return (n // cfg.m) ** 2 * cfg.user_bits
 
 
@@ -262,8 +254,8 @@ def _tiles(bits: np.ndarray, m: int) -> np.ndarray:
     return tiles.reshape(*lead, (n // m) ** 2, m, m)
 
 
-def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
-    """Encode a payload, or a (..., L) stack of them, into N x N arrays of row-major
+def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> np.ndarray:
+    """Encode a payload, or a (..., L) stack of them, into (..., N, N) arrays of row-major
     M x M tiles (one tile if n == m).  Tiles are scored in chunks of at most
     ``CANDIDATE_CELLS`` candidate cells, several arrays' tiles per chunk."""
     payload = np.asarray(payload)
@@ -272,17 +264,15 @@ def encode_array(payload: np.ndarray, cfg: CodecConfig, n: int) -> EncodedArray:
         raise ValueError(f"expected payload of {length} bits, got shape {payload.shape}")
     users = payload.reshape(-1, cfg.user_bits)  # one row per tile, arrays in order
     per_chunk = CANDIDATE_CELLS // (cfg.m * cfg.m << cfg.l)
-    chosen = np.empty(len(users), dtype=np.int64)
     tiles = np.empty((len(users), cfg.m, cfg.m), dtype=np.int64)
     for start in range(0, len(users), per_chunk):
         cands = candidate_set(users[start : start + per_chunk], cfg)
         scores = score_candidates(cands, cfg).reshape(-1, 1 << cfg.l)
-        pick = chosen[start : start + per_chunk] = scores.argmin(axis=1)  # ties: smallest index
+        pick = scores.argmin(axis=1)  # ties: smallest index
         rows = (np.arange(len(pick)) << cfg.l) + pick  # tile t's candidate i is row t * 2**l + i
         tiles[start : start + per_chunk] = _unpack(cands[rows], cfg.m)
     lead, side = payload.shape[:-1], n // cfg.m
-    bits = tiles.reshape(*lead, side, side, cfg.m, cfg.m).swapaxes(-3, -2).reshape(*lead, n, n)
-    return EncodedArray(bits=bits, chosen_indices=chosen.reshape(*lead, side * side))
+    return tiles.reshape(*lead, side, side, cfg.m, cfg.m).swapaxes(-3, -2).reshape(*lead, n, n)
 
 
 def decode_array(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:

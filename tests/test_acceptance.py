@@ -17,7 +17,6 @@ from sneakpath.channel import (
     ChannelParams,
     compute_sneak_mask,
     count_possible_sneak_paths,
-    random_array,
     read_array,
     sample_failures,
 )
@@ -32,8 +31,8 @@ def test_c01_codec_roundtrip_at_scale(record):
     failures = 0
     for _ in range(10_000):
         payload = (rng.random(gs.payload_length(cfg, 16)) < 0.5).astype(np.int64)
-        enc = gs.encode_array(payload, cfg, 16)
-        if not np.array_equal(gs.decode_array(enc.bits, cfg), payload):
+        bits = gs.encode_array(payload, cfg, 16)
+        if not np.array_equal(gs.decode_array(bits, cfg), payload):
             failures += 1
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed < 60.0
@@ -48,7 +47,7 @@ def test_c02_selected_candidate_is_optimal(record):
     suboptimal = 0
     for _ in range(1_000):
         user = (rng.random(cfg.user_bits) < 0.5).astype(np.int64)
-        chosen = count_possible_sneak_paths(gs.encode_array(user, cfg, cfg.m).bits)
+        chosen = count_possible_sneak_paths(gs.encode_array(user, cfg, cfg.m))
         # Independent re-enumeration: augment and scramble every index.
         best = min(
             count_possible_sneak_paths(gs.scramble(gs.augment(user, i, cfg),
@@ -203,7 +202,8 @@ def test_c09_weight_comparator_exact_without_noise(record):
     mismatches = 0
     affected_seen = 0
     for trial in range(10_000):
-        a = random_array(params.n, 0.5, derive_rng(909, trial, STREAM_DATA))
+        data = derive_rng(909, trial, STREAM_DATA).random((params.n, params.n))
+        a = (data < 0.5).astype(np.int64)
         fails = sample_failures(params, derive_rng(909, trial, STREAM_FAILURES))
         e = compute_sneak_mask(a, fails)
         reads = read_array(a, e, params, derive_rng(909, trial, STREAM_NOISE))

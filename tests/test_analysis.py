@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from sneakpath import analysis, codec as gs, mlp
 from sneakpath.channel import ChannelParams, compute_sneak_mask, sample_failures, transmit
 from sneakpath.rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
-from sneakpath.channel import random_array
 
 
 class TestQFunction:
@@ -140,7 +139,7 @@ class TestEstimateBer:
         est = analysis.estimate_ber(scn, trials, seed)
         masked = 0
         for t in range(trials):
-            a = random_array(16, 0.5, derive_rng(seed, t, STREAM_DATA))
+            a = (derive_rng(seed, t, STREAM_DATA).random((16, 16)) < 0.5).astype(np.int64)
             f = sample_failures(params, derive_rng(seed, t, STREAM_FAILURES))
             masked += int(compute_sneak_mask(a, f).sum())
         assert est.errors == masked
@@ -300,6 +299,20 @@ class TestSimulateBlock:
             if isinstance(whole, np.ndarray):
                 assert np.array_equal(part, whole[1::2])
         assert [t for _, t, stream in drawn if stream == STREAM_DATA] == [1, 3, 5]
+
+
+class TestWriteBlock:
+    def test_degenerate(self):
+        for q, ones in ((0.0, 0), (1.0, 16)):
+            scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(n=4), q=q)
+            assert analysis.write_block(scn, 1, range(3))[1].sum(axis=(1, 2)).tolist() == [ones] * 3
+
+    def test_mean_weight(self):
+        # 10^4 uncoded arrays at q = 0.5: mean weight within 3 std-devs of 128.
+        scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(), q=0.5)
+        weights = analysis.write_block(scn, 3, range(10_000))[1].sum(axis=(1, 2))
+        sd_mean = np.sqrt(256 * 0.25 / 10_000)
+        assert abs(np.mean(weights) - 128.0) < 3 * sd_mean
 
 
 class TestWriteTrial:

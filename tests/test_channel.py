@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sneakpath import analysis
 from sneakpath.channel import (
     ChannelParams,
     compute_sneak_mask,
     count_possible_sneak_paths,
-    random_array,
     read_array,
     sample_failures,
 )
@@ -221,18 +221,10 @@ class TestReadArray:
 
 
 class TestRandomArray:
-    def test_degenerate(self):
-        rng = np.random.default_rng(1)
-        assert random_array(4, 0.0, rng).sum() == 0
-        assert random_array(4, 1.0, rng).sum() == 16
-
+    # Random data arrays are drawn by analysis.write_block at the Scenario's q,
+    # so an out-of-range q is refused before any array is drawn.
     @pytest.mark.parametrize("q", [-0.1, 1.5])
     def test_rejects_q_outside_unit_interval(self, q):
         with pytest.raises(ValueError, match="q must lie"):
-            random_array(4, q, np.random.default_rng(1))
-
-    def test_mean_weight(self):
-        # 10^4 arrays at q = 0.5: mean weight within 3 std-devs of 128.
-        weights = [random_array(16, 0.5, derive_rng(3, t, 0)).sum() for t in range(10_000)]
-        sd_mean = np.sqrt(256 * 0.25 / 10_000)
-        assert abs(np.mean(weights) - 128.0) < 3 * sd_mean
+            scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(n=4), q=q)
+            analysis.write_block(scn, 1, range(1))

@@ -162,6 +162,16 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # The uncoded sibling: pins the data draw of uncoded trials and the read path after it.
+    def test_uncoded_pf_sweep_matches_golden_digest(self, tmp_path):
+        path = write_cfg(tmp_path, "sigma = 30\nq = 0.3\npf_list = 1e-3, 1e-2, 0.2\n"
+                         "detectors = midpoint, pipeline_threshold\nthreshold = 170\n"
+                         "trials = 40\nseed = 6\n")
+        out = tmp_path / "ber.csv"
+        assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "38a8c322a3b1e9bc641c8d5ffd87c1e9893d0371f61075e9727202e94761c3bd")
+
     def test_detectors_parse_like_every_list(self, tmp_path):
         out = tmp_path / "ber.csv"
         code = cli.main(["evaluate", "--set", "sigma_list=30", "--set", "pf=0", "--set", "trials=2",
@@ -308,23 +318,6 @@ class TestOutOfRangeInputs:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_array_over_the_candidate_budget_allocates_nothing(self, tmp_path, capsys,
-                                                               monkeypatch):
-        # 1,024 tiles of 2**14 candidates each: one array's scoring would need ~8 GiB.
-        def no_work(*args, **kwargs):
-            raise AssertionError("the encoder ran before the array was checked")
-
-        monkeypatch.setattr(gs, "_index_patterns", no_work)
-        monkeypatch.setattr(gs, "encode_array", no_work)
-        out = tmp_path / "out.csv"
-        code = cli.main(["evaluate", "--config", write_cfg(tmp_path, self.CODED),
-                         "--set", "n=256", "--set", "l=14", "--set", "poly=14,5,0",
-                         "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert err.count("\n") == 1 and "per array" in err and "budget" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,setting,work", [

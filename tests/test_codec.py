@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -240,34 +242,32 @@ class TestEncode:
         rng = np.random.default_rng(1)
         for _ in range(25):
             u = (rng.random(60) < 0.5).astype(int)
-            enc = gs.encode_array(u, CFG, CFG.m)
+            bits = gs.encode_array(u, CFG, CFG.m)
             # Independent re-enumeration through the reference register.
-            scores = []
-            for idx in range(16):
-                cand = gs.augment(u, idx, CFG)
-                scores.append(count_possible_sneak_paths(reference_tile_scramble(cand, TAPS4)))
-            sel = count_possible_sneak_paths(enc.bits)
-            assert sel == min(scores)
-            assert enc.chosen_indices.tolist() == [scores.index(min(scores))]
+            cands = [reference_tile_scramble(gs.augment(u, idx, CFG), TAPS4) for idx in range(16)]
+            scores = [count_possible_sneak_paths(c) for c in cands]
+            assert count_possible_sneak_paths(bits) == min(scores)
+            # Ties go to the smallest index: the stored tile is the first minimal candidate.
+            assert np.array_equal(bits, cands[scores.index(min(scores))])
 
     def test_min_weight_criterion(self):
         cfg = gs.CodecConfig.make(8, 4, criterion=gs.Criterion.MIN_WEIGHT)
         rng = np.random.default_rng(2)
         for _ in range(25):
             u = (rng.random(60) < 0.5).astype(int)
-            enc = gs.encode_array(u, cfg, cfg.m)
+            bits = gs.encode_array(u, cfg, cfg.m)
             weights = [
                 int(gs.scramble(gs.augment(u, idx, cfg), cfg.poly).sum()) for idx in range(16)
             ]
-            assert gs.tile_weights(enc.bits, cfg.m).tolist() == [min(weights)]
+            assert gs.tile_weights(bits, cfg.m).tolist() == [min(weights)]
 
     def test_roundtrip_subarray(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             u = (rng.random(60) < 0.5).astype(int)
-            enc = gs.encode_array(u, CFG, CFG.m)
-            assert np.array_equal(gs.decode_array(enc.bits, CFG), u)
-            assert gs.tile_weights(enc.bits, CFG.m).tolist() == [enc.bits.sum()]
+            bits = gs.encode_array(u, CFG, CFG.m)
+            assert np.array_equal(gs.decode_array(bits, CFG), u)
+            assert gs.tile_weights(bits, CFG.m).tolist() == [bits.sum()]
 
     def test_mnsp_beats_average(self):
         rng = np.random.default_rng(4)
@@ -285,17 +285,17 @@ class TestEncodeArray:
     def test_geometry(self):
         assert gs.payload_length(CFG, 16) == 240
         payload = np.zeros(240, dtype=int)
-        enc = gs.encode_array(payload, CFG, 16)
-        assert enc.bits.shape == (16, 16)
-        assert len(gs.tile_weights(enc.bits, 8)) == 4
+        bits = gs.encode_array(payload, CFG, 16)
+        assert bits.shape == (16, 16)
+        assert len(gs.tile_weights(bits, 8)) == 4
 
     def test_roundtrip_and_weights(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             payload = (rng.random(240) < 0.5).astype(int)
-            enc = gs.encode_array(payload, CFG, 16)
-            assert np.array_equal(gs.decode_array(enc.bits, CFG), payload)
-            assert gs.tile_weights(enc.bits, 8).sum() == enc.bits.sum()
+            bits = gs.encode_array(payload, CFG, 16)
+            assert np.array_equal(gs.decode_array(bits, CFG), payload)
+            assert gs.tile_weights(bits, 8).sum() == bits.sum()
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -321,25 +321,39 @@ class TestEncodeArray:
         score = gs.score_candidates
         monkeypatch.setattr(gs, "score_candidates",
                             lambda cands, c: calls.append(len(cands)) or score(cands, c))
-        enc = gs.encode_array(payloads.reshape(37, 1, -1), cfg, 16)
+        stack = gs.encode_array(payloads.reshape(37, 1, -1), cfg, 16)
         per_array = (16 // m) ** 2 << l
         assert calls == [min(gs.CANDIDATE_CELLS // (m * m), 37 * per_array - done)
                          for done in range(0, 37 * per_array, gs.CANDIDATE_CELLS // (m * m))]
-        assert enc.bits.shape == (37, 1, 16, 16)
-        assert enc.chosen_indices.shape == (37, 1, (16 // m) ** 2)
-        for payload, bits, chosen in zip(payloads, enc.bits[:, 0], enc.chosen_indices[:, 0]):
-            one = gs.encode_array(payload, cfg, 16)
-            assert np.array_equal(bits, one.bits)
-            assert np.array_equal(chosen, one.chosen_indices)
-        assert np.array_equal(gs.decode_array(enc.bits, cfg), payloads.reshape(37, 1, -1))
-        weights = gs.tile_weights(enc.bits[:, 0], m)
-        assert weights.tolist() == [gs.tile_weights(b, m).tolist() for b in enc.bits[:, 0]]
+        assert stack.shape == (37, 1, 16, 16)
+        for payload, bits in zip(payloads, stack[:, 0]):
+            assert np.array_equal(bits, gs.encode_array(payload, cfg, 16))
+        assert np.array_equal(gs.decode_array(stack, cfg), payloads.reshape(37, 1, -1))
+        weights = gs.tile_weights(stack[:, 0], m)
+        assert weights.tolist() == [gs.tile_weights(b, m).tolist() for b in stack[:, 0]]
+
+    def test_array_memory_is_bounded_by_the_tile_budget(self):
+        # 64 tiles of 2**14 candidates each, 2**26 candidate cells in all: scored one
+        # CANDIDATE_CELLS chunk at a time, whatever the array's size.  A one-tile encode
+        # first builds the code's cached index patterns, a once-per-code cost set by
+        # 2**l * m^2 alone, so the peak below is the array's own.
+        cfg = gs.CodecConfig.make(8, 14, poly=(14, 5, 0))
+        gs.encode_array(np.zeros(cfg.user_bits, dtype=np.int64), cfg, cfg.m)
+        payload = (np.random.default_rng(12).random(gs.payload_length(cfg, 64)) < 0.5)
+        tracemalloc.start()
+        try:
+            bits = gs.encode_array(payload.astype(np.int64), cfg, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.array_equal(gs.decode_array(bits, cfg), payload)
 
     @settings(max_examples=25, deadline=None)
     @given(payload=arrays(np.int64, 240, elements=st.integers(0, 1)))
     def test_roundtrip_property(self, payload):
-        enc = gs.encode_array(payload, CFG, 16)
-        assert np.array_equal(gs.decode_array(enc.bits, CFG), payload)
+        bits = gs.encode_array(payload, CFG, 16)
+        assert np.array_equal(gs.decode_array(bits, CFG), payload)
 
 
 # (m, l, n): both scoring paths (one-code tiles up to 4 x 4, row words above),
@@ -360,12 +374,14 @@ class TestPackedEncoder:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         payload = (rng.random(gs.payload_length(cfg, n)) < density).astype(np.int64)
-        enc = gs.encode_array(payload, cfg, n)
+        got = gs.encode_array(payload, cfg, n)
         bits, weights, chosen = reference_encode(payload, cfg, n)
-        assert np.array_equal(enc.bits, bits)
-        assert enc.chosen_indices.dtype == np.int64
-        assert gs.tile_weights(enc.bits, m).tolist() == weights
-        assert enc.chosen_indices.tolist() == chosen
+        assert np.array_equal(got, bits)
+        assert got.dtype == np.int64
+        assert gs.tile_weights(got, m).tolist() == weights
+        # The chosen index is the trailing l bits of each descrambled tile.
+        tails = gs.descramble(gs._tiles(got, m), cfg.poly).reshape(-1, m * m)[:, cfg.user_bits:]
+        assert (tails @ (1 << np.arange(l)[::-1])).tolist() == chosen
 
     @pytest.mark.parametrize("m,l", [(8, 4), (4, 8)])
     def test_one_scoring_call_per_array(self, m, l, monkeypatch):

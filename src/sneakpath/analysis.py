@@ -94,6 +94,7 @@ MIDPOINT = "midpoint"          # plain middle-point threshold on every array
 MLP_ALL = "mlp_all"            # network detection on every array
 PIPELINE_DL = "pipeline_dl"    # classify, re-detect affected arrays with the net
 PIPELINE_THRESHOLD = "pipeline_threshold"  # re-detect with the derived threshold
+NETWORK_DETECTORS = (MLP_ALL, PIPELINE_DL)  # the detectors that run the trained network
 
 
 @dataclass
@@ -111,7 +112,7 @@ class Scenario:
     def __post_init__(self):
         if self.detector not in (MIDPOINT, MLP_ALL, PIPELINE_DL, PIPELINE_THRESHOLD):
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.detector in (MLP_ALL, PIPELINE_DL) and self.model is None:
+        if self.detector in NETWORK_DETECTORS and self.model is None:
             raise ValueError(f"{self.detector} needs a trained model")
         if self.detector == PIPELINE_THRESHOLD and self.threshold is None:
             raise ValueError("pipeline_threshold needs a derived threshold")
@@ -158,7 +159,12 @@ class BerEstimate:
 
     @property
     def ci95(self) -> float:
-        """Half-width of the normal-approximation 95% interval on the cell BER."""
+        """Per-cell binomial half-width of the normal-approximation 95% interval on the BER.
+
+        Cells in one array are correlated, so this understates the array-level interval,
+        ``1.96 * array_level_se(est)``: with pipeline_threshold at 170 ohm, 2,000 trials
+        and seed 1, that is 1.75x (4x4/l=8) to 3.73x (8x8/l=4 at sigma = 50) wider.  The
+        acceptance comparisons use :func:`array_level_se`."""
         p = self.ber
         return 1.96 * np.sqrt(max(p * (1.0 - p), 1.0 / self.cells) / self.cells)
 
@@ -256,18 +262,16 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     from .mlp import hard_decide
-    redetect = (partial(threshold_detect, r_th=scn.threshold) if scn.detector == PIPELINE_THRESHOLD
-                else partial(hard_decide, scn.model))
+    r_th = scn.params.midpoint if scn.detector == MIDPOINT else scn.threshold
+    decide = (partial(hard_decide, scn.model) if scn.detector in NETWORK_DETECTORS
+              else partial(threshold_detect, r_th=r_th))
+    every_array = scn.detector in (MIDPOINT, MLP_ALL)
     user_errors = user_bits = 0
     trial_errors = np.zeros(trials, dtype=np.int64)
     for block in trial_blocks(trials, scn.params.n):
         payload, bits, weights, tile, reads = simulate_block(scn, master_seed, block)
-        if scn.detector == MIDPOINT:
-            est = threshold_detect(reads, scn.params.midpoint)
-        elif scn.detector == MLP_ALL:
-            est = np.array([redetect(r) for r in reads])  # the network sees one array per call
-        else:
-            est = pipeline_detect(reads, weights, tile, scn.params, redetect)
+        est = (decide(reads) if every_array
+               else pipeline_detect(reads, weights, tile, scn.params, decide))
         trial_errors[block.start : block.stop] = (est != bits).sum(axis=(-2, -1))
         if payload is not None:
             user_errors += int((gs.decode_array(est, scn.codec) != payload).sum())

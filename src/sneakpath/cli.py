@@ -131,13 +131,14 @@ def channel_from(cfg: dict, sigma=None, p_f=None) -> ChannelParams:
     return ChannelParams(**(given | swept))
 
 
-def _operating_point(cfg: dict) -> ChannelParams:
-    """The one channel point ``train`` and ``threshold`` run at; they ignore sweep axes."""
-    for key, example in (("sigma", "30"), ("pf", "1e-3")):
-        if f"{key}_list" in cfg and key not in cfg:
+def _operating_point(cfg: dict) -> tuple[ChannelParams, gs.CodecConfig | None]:
+    """The one channel point and code ``train`` and ``threshold`` run at; they ignore sweep axes."""
+    for axis, key, example in (("sigma_list", "sigma", "sigma=30"), ("pf_list", "pf", "pf=1e-3"),
+                               ("rate_list", "coded", "coded=true --set m=8 --set l=4")):
+        if axis in cfg and key not in cfg:
             raise ConfigError(f"train and threshold run at a single {key}: the config has "
-                              f"{key}_list but no {key}; set one, e.g. --set {key}={example}")
-    return channel_from(cfg)
+                              f"{axis} but no {key}; set one, e.g. --set {example}")
+    return channel_from(cfg), codec_from(cfg)
 
 
 def codec_from(cfg: dict, rate_token: str | None = None) -> gs.CodecConfig | None:
@@ -204,8 +205,7 @@ def cmd_bound(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     seed = _get(cfg, "seed")
-    params = _operating_point(cfg)
-    codec = codec_from(cfg)
+    params, codec = _operating_point(cfg)
     count = _get(cfg, "train_count")
     tc = mlp.TrainConfig(batch_size=4 * params.n * params.n, epochs=_get(cfg, "epochs"), seed=seed)
     dataset = mlp.generate_dataset(params, codec, count, _get(cfg, "filter"), seed,
@@ -220,9 +220,9 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_threshold(cfg: dict, args) -> int:
-    params = _operating_point(cfg)
+    params, codec = _operating_point(cfg)
     model = _load_model(args, {}, params.n)
-    result = mlp.calibrate_threshold(model, params, codec_from(cfg), _get(cfg, "pool"),
+    result = mlp.calibrate_threshold(model, params, codec, _get(cfg, "pool"),
                                      _get(cfg, "seed") + 1, q=_get(cfg, "q"))
     if args.out:
         write_rows(args.out, [f"{fmt(t)},{int(d)}" for t, d in zip(result.grid, result.distances)],
@@ -234,7 +234,7 @@ def cmd_threshold(cfg: dict, args) -> int:
 def build_scenario(detector: str, params: ChannelParams, codec, cfg: dict, args,
                    model_cache: dict) -> analysis.Scenario:
     model = (_load_model(args, model_cache, params.n)
-             if detector in (analysis.MLP_ALL, analysis.PIPELINE_DL) else None)
+             if detector in analysis.NETWORK_DETECTORS else None)
     threshold = _get(cfg, "threshold") if detector == analysis.PIPELINE_THRESHOLD else None
     return analysis.Scenario(detector, params, codec=codec, q=_get(cfg, "q"),
                              model=model, threshold=threshold)

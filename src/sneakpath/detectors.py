@@ -3,8 +3,8 @@
 A threshold is a float in ohms; :func:`threshold_detect` applies one.  The
 read pipeline detects at ``ChannelParams.midpoint`` and compares each
 tile's detected popcount with the ``codec.tile_weights`` written beside
-the array.  A matching array keeps those decisions; a mismatching one is
-re-detected by the re-detector passed to :func:`pipeline_detect`: the
+the array.  A matching array keeps those decisions; the mismatching ones go,
+in one call, to the re-detector passed to :func:`pipeline_detect`: the
 trained network, or :func:`threshold_detect` at :func:`derive_threshold`'s.
 """
 
@@ -23,11 +23,6 @@ def threshold_detect(reads: np.ndarray, r_th: float) -> np.ndarray:
     return (np.asarray(reads) < r_th).astype(np.int64)
 
 
-@dataclass
-class Classification:
-    affected: bool
-
-
 def flag_arrays(detected: np.ndarray, weights, m: int) -> np.ndarray:
     """Weight-comparator verdict per array of a stack: any tile popcount mismatch flags it."""
     got = tile_weights(detected, m)
@@ -37,9 +32,9 @@ def flag_arrays(detected: np.ndarray, weights, m: int) -> np.ndarray:
     return (got != weights).any(axis=-1)
 
 
-def classify_array(detected: np.ndarray, weights, m: int) -> Classification:
-    """:func:`flag_arrays`' verdict on one array."""
-    return Classification(affected=bool(flag_arrays(detected, weights, m)))
+def classify_array(detected: np.ndarray, weights, m: int) -> bool:
+    """:func:`flag_arrays`' verdict on one array: True if it is flagged as affected."""
+    return bool(flag_arrays(detected, weights, m))
 
 
 @dataclass
@@ -87,10 +82,10 @@ def derive_threshold(reads_pool, hard_pool, grid: np.ndarray) -> ThresholdSearch
 
 def pipeline_detect(reads: np.ndarray, weights, m: int, params: ChannelParams,
                     redetect) -> np.ndarray:
-    """Midpoint detect and classify one array or a (..., N, N) stack; each flagged
-    array is re-detected alone, as ``redetect(its reads)``."""
+    """Midpoint detect and classify one array or a (..., N, N) stack, then re-detect the
+    flagged arrays in one call, ``redetect(reads[flagged])``; none flagged, no call."""
     est = threshold_detect(reads, params.midpoint)
-    rows, est_rows = reads.reshape(-1, *reads.shape[-2:]), est.reshape(-1, *est.shape[-2:])
-    for i in np.flatnonzero(flag_arrays(est, weights, m)):
-        est_rows[i] = redetect(rows[i])  # est_rows is a view of est
+    flagged = flag_arrays(est, weights, m)
+    if flagged.any():
+        est[flagged] = redetect(reads[flagged])
     return est

@@ -112,10 +112,11 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def hard_decide(model: MlpModel, reads: np.ndarray) -> np.ndarray:
-    """Detect a full read array: normalize, run the net, threshold at 0.5."""
-    n = reads.shape[0]
-    soft = forward(model, reads.reshape(-1) * model.normalizer)
-    return (soft > 0.5).astype(np.int64).reshape(n, n)
+    """Detect one read array or a (..., N, N) stack: normalize, run the net, threshold at 0.5.
+    The one loop of arrays into the net: one ``forward`` per array, as bench/ pins it."""
+    rows = reads.reshape(-1, reads.shape[-1] ** 2) * model.normalizer
+    soft = np.array([forward(model, row) for row in rows]).reshape(reads.shape)
+    return (soft > 0.5).astype(np.int64)
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -200,9 +201,9 @@ class Dataset:
 
 def _unflaggable(params: ChannelParams, fails: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Attempts the comparator cannot flag whatever their data: no selector failed, and each
-    cell's read detects right both as LRS (r1 + z < midpoint) and as HRS (r0 + z >= it)."""
-    right = (params.r1 + noise < params.midpoint) & (params.r0 + noise >= params.midpoint)
-    return ~fails.any(axis=(-2, -1)) & right.all(axis=(-2, -1))
+    cell's read, r1 + z or r0 + z, detects right at the midpoint both as LRS and as HRS."""
+    lrs, hrs = (threshold_detect(v + noise, params.midpoint) for v in (params.r1, params.r0))
+    return ~fails.any(axis=(-2, -1)) & (lrs > hrs).all(axis=(-2, -1))  # LRS 1 and HRS 0
 
 
 def generate_dataset(params: ChannelParams, cfg: gs.CodecConfig | None, count: int,
@@ -254,8 +255,7 @@ def calibrate_threshold(model: MlpModel, params: ChannelParams, cfg: gs.CodecCon
     pool = generate_dataset(params, cfg, count, AFFECTED_ONLY, seed, q=q)
     # Undo the pool's own 1/r0 scale; hard_decide applies the model's normalizer.
     reads = (pool.inputs / (1.0 / params.r0)).reshape(-1, params.n, params.n)
-    hard = [hard_decide(model, r) for r in reads]
-    return derive_threshold(reads, hard, grid)
+    return derive_threshold(reads, hard_decide(model, reads), grid)
 
 
 def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[float]:

@@ -208,7 +208,7 @@ def test_c09_weight_comparator_exact_without_noise(record):
         e = compute_sneak_mask(a, fails)
         reads = read_array(a, e, params, derive_rng(909, trial, STREAM_NOISE))
         verdict = classify_array(threshold_detect(reads, params.midpoint), [int(a.sum())],
-                                 params.n).affected
+                                 params.n)
         truth = bool(e.any())
         affected_seen += truth
         mismatches += verdict != truth

@@ -42,7 +42,7 @@ def reference_detect(scn, reads, weights, tile):
     est = threshold_detect(reads, scn.params.midpoint)
     if scn.detector == analysis.MLP_ALL:
         return mlp.hard_decide(scn.model, reads)
-    if scn.detector == analysis.MIDPOINT or not classify_array(est, weights, tile).affected:
+    if scn.detector == analysis.MIDPOINT or not classify_array(est, weights, tile):
         return est
     if scn.detector == analysis.PIPELINE_DL:
         return mlp.hard_decide(scn.model, reads)
@@ -70,7 +70,7 @@ def reference_dataset(params, cfg, count, class_filter, seed):
     for attempt in range(budget):
         _, bits, weights, tile, reads = reference_trial(scn, seed, attempt)
         est = threshold_detect(reads, params.midpoint)
-        if class_filter == mlp.AFFECTED_ONLY and not classify_array(est, weights, tile).affected:
+        if class_filter == mlp.AFFECTED_ONLY and not classify_array(est, weights, tile):
             continue
         inputs.append(reads.reshape(-1) * (1.0 / params.r0))
         labels.append(bits.reshape(-1))

@@ -255,8 +255,25 @@ class TestSinglePointCommands:
         assert "no sigma" in capsys.readouterr().err
 
     def test_fig2_trains_at_its_named_operating_point(self):
-        params = cli._operating_point(cli.parse_config(str(CONFIG_DIR / "fig2.cfg"), []))
+        params, codec = cli._operating_point(cli.parse_config(str(CONFIG_DIR / "fig2.cfg"), []))
         assert (params.sigma, params.p_f) == (30.0, 1e-3)
+        assert (codec.m, codec.l, codec.poly) == (8, 4, (4, 1, 0))
+
+    @pytest.mark.parametrize("command", ["train", "threshold"])
+    def test_rate_list_without_coded_exits_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # fig4 sweeps rate_list and names no code of its own: training uncoded would be silent.
+        monkeypatch.setattr(mlp, "generate_dataset", lambda *args, **kwargs: pytest.fail("ran"))
+        code = cli.main([command, "--config", str(CONFIG_DIR / "fig4.cfg"),
+                         "--model", str(tmp_path / "m.mlp")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no coded" in err and "--set coded=true --set m=8 --set l=4" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rate_list_with_explicit_uncoded_runs_uncoded(self):
+        cfg = cli.parse_config(str(CONFIG_DIR / "fig4.cfg"), ["coded=false"])
+        assert cli._operating_point(cfg)[1] is None
 
 
 class TestOutOfRangeInputs:

@@ -51,16 +51,14 @@ class TestClassifyArray:
         a = np.kron(np.eye(2, dtype=int), np.ones((4, 4), dtype=int))
         reads = read_array(a, np.zeros_like(a), PARAMS, RNG)
         est = threshold_detect(reads, PARAMS.midpoint)
-        cls = classify_array(est, gs.tile_weights(a, 4), 4)
-        assert not cls.affected
+        assert not classify_array(est, gs.tile_weights(a, 4), 4)
 
     def test_single_affected_cell_flags_array(self):
         a = np.array([[0, 1], [1, 1]])
         e = compute_sneak_mask(a, np.ones_like(a))
         reads = read_array(a, e, PARAMS, RNG)
         est = threshold_detect(reads, PARAMS.midpoint)
-        cls = classify_array(est, [int(a.sum())], 2)
-        assert cls.affected
+        assert classify_array(est, [int(a.sum())], 2)
         assert est.sum() == a.sum() + 1  # detected weight exceeds stored by one
 
     def test_compensating_flips_are_missed(self):
@@ -68,8 +66,7 @@ class TestClassifyArray:
         # false-negative mode is inherent to weight comparison.
         a = np.array([[1, 0], [0, 1]])
         est = np.array([[0, 1], [0, 1]])
-        cls = classify_array(est, [int(a.sum())], 2)
-        assert not cls.affected
+        assert not classify_array(est, [int(a.sum())], 2)
 
     def test_geometry_mismatch(self):
         with pytest.raises(ValueError):
@@ -82,8 +79,8 @@ class TestClassifyArray:
         est = a.copy()
         est[0, 3] = 1  # one extra '1' in the top-right tile
         for weights in ([4, 0, 0, 4], np.array([4, 0, 0, 4]), gs.tile_weights(a, 2)):
-            assert classify_array(est, weights, 2).affected
-            assert not classify_array(a, weights, 2).affected
+            assert classify_array(est, weights, 2)
+            assert not classify_array(a, weights, 2)
 
 
 class TestDeriveThreshold:
@@ -175,14 +172,30 @@ class TestPipeline:
             return threshold_detect(r, 150.0)
 
         est = pipeline_detect(reads, weights, 4, params, spi)
-        flagged = [classify_array(threshold_detect(r, params.midpoint), w, 4).affected
+        flagged = [classify_array(threshold_detect(r, params.midpoint), w, 4)
                    for r, w in zip(reads, weights)]
         assert 0 < sum(flagged) < len(flagged)
-        # Each flagged array is re-detected on its own, in stack order.
-        assert len(calls) == sum(flagged)
-        assert all(np.array_equal(c, r) for c, r in zip(calls, reads[flagged]))
+        # The flagged arrays are re-detected together, in one call, in stack order.
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], reads[flagged])
         one_by_one = [pipeline_detect(r, w, 4, params, spi) for r, w in zip(reads, weights)]
         assert np.array_equal(est, one_by_one)
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_one_array_is_detected_as_its_one_stack(self, failed):
+        a = np.array([[0, 1], [1, 1]])
+        reads = read_array(a, compute_sneak_mask(a, np.full_like(a, failed)), PARAMS, RNG)
+        weights = [int(a.sum())]
+        # Failed selectors put the HRS cell (0, 0) on a sneak path and flag the array.
+        assert classify_array(threshold_detect(reads, PARAMS.midpoint), weights, 2) == failed
+
+        def spi(r):
+            return threshold_detect(r, 150.0)
+
+        one = pipeline_detect(reads, weights, 2, PARAMS, spi)
+        stack = pipeline_detect(reads[None], [weights], 2, PARAMS, spi)
+        assert one.shape == a.shape
+        assert np.array_equal(one, stack[0])
 
 
 def test_default_grid_covers_r1_to_r0():

@@ -91,6 +91,20 @@ class TestForward:
             mlp.forward(model, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
+class TestHardDecide:
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_a_stack_is_decided_array_by_array(self, k):
+        model = mlp._init_from_dims([256, 32, 256], 7, normalizer=1.0 / 1000.0)
+        reads = np.random.default_rng(k).uniform(50.0, 1100.0, (k, 16, 16))
+        singles = [mlp.hard_decide(model, r) for r in reads]
+        assert all(s.shape == (16, 16) for s in singles)
+        before = model.inference_calls
+        stack = mlp.hard_decide(model, reads)
+        assert model.inference_calls - before == k  # one forward call per array, none for k = 0
+        assert stack.shape == (k, 16, 16) and stack.dtype == np.int64
+        assert all(np.array_equal(s, one) for s, one in zip(stack, singles))
+
+
 class TestBceLoss:
     def test_closed_form(self):
         assert mlp.bce_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(np.log(2))
@@ -240,7 +254,7 @@ class TestDataset:
             reads = (x / (1.0 / params.r0)).reshape(16, 16)
             est = threshold_detect(reads, params.midpoint)
             weights = gs.tile_weights(y.reshape(16, 16), 8)
-            assert classify_array(est, weights, 8).affected
+            assert classify_array(est, weights, 8)
 
 
 class TestTrain:

@@ -135,6 +135,9 @@ class Scenario:
 
 @dataclass
 class BerEstimate:
+    """Counts of one run.  ``user_errors`` and ``user_bits`` count decoded user bits; uncoded,
+    the stored cells are the user's bits, so they equal ``errors`` and ``cells``."""
+
     detector: str
     sigma: float
     p_f: float
@@ -220,23 +223,21 @@ def _stack(master_seed: int, trials, stream: int, draw, shape) -> np.ndarray:
 
 
 def write_block(scn: Scenario, master_seed: int, trials):
-    """Stacked (payload or None, bits, tile_weights(bits, tile), tile) of ``trials``.  Each
-    trial's data is ``rng.random(length) < q``: its n^2 cells uncoded, its payload coded."""
+    """Stacked (payload, bits, tile_weights(bits, tile), tile) of ``trials``.  Each trial's
+    payload is ``rng.random(length) < q``; uncoded, it is the n^2 cells the bits reshape."""
     n, cfg = scn.params.n, scn.codec
     length = n * n if cfg is None else gs.payload_length(cfg, n)
-    data = _stack(master_seed, trials, STREAM_DATA, lambda rng: rng.random(length) < scn.q,
-                  (length,)).astype(np.int64)
-    if cfg is None:
-        payload, bits, tile = None, data.reshape(-1, n, n), n
-    else:
-        payload, bits, tile = data, gs.encode_array(data, cfg, n), cfg.m
+    payload = _stack(master_seed, trials, STREAM_DATA, lambda rng: rng.random(length) < scn.q,
+                     (length,)).astype(np.int64)
+    bits, tile = ((payload.reshape(-1, n, n), n) if cfg is None
+                  else (gs.encode_array(payload, cfg, n), cfg.m))
     return payload, bits, gs.tile_weights(bits, tile), tile
 
 
 def write_trial(scn: Scenario, master_seed: int, trial: int):
     """One trial's row of :func:`write_block`."""
     payload, bits, weights, tile = write_block(scn, master_seed, [trial])
-    return None if payload is None else payload[0], bits[0], weights[0], tile
+    return payload[0], bits[0], weights[0], tile
 
 
 def simulate_block(scn: Scenario, master_seed: int, trials, skip=None):
@@ -273,9 +274,9 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
         est = (decide(reads) if every_array
                else pipeline_detect(reads, weights, tile, scn.params, decide))
         trial_errors[block.start : block.stop] = (est != bits).sum(axis=(-2, -1))
-        if payload is not None:
-            user_errors += int((gs.decode_array(est, scn.codec) != payload).sum())
-            user_bits += payload.size
+        user = est.reshape(payload.shape) if scn.codec is None else gs.decode_array(est, scn.codec)
+        user_errors += int((user != payload).sum())
+        user_bits += payload.size
     return BerEstimate(
         detector=scn.label, sigma=scn.params.sigma, p_f=scn.params.p_f, rate=scn.rate,
         cells=trials * scn.params.n ** 2, seed=master_seed, user_errors=user_errors,

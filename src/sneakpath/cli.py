@@ -289,14 +289,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides)
-        # The path each command needs, and the paths it writes, are checked before any work.
+        # The path each command needs, and the paths it writes, are checked before any work;
+        # a written path must not name the file of another path option.
         needed = {"bound": "out", "train": "model", "threshold": "model", "evaluate": "out"}
         if not getattr(args, needed[args.command]):
             raise ConfigError(f"{args.command} needs --{needed[args.command]}")
-        written = (args.out, args.model if args.command == "train" else None)
-        for path in (Path(p) for p in written if p is not None):
+        named = {"--out": args.out, "--model": args.model, "--config": args.config}
+        for flag in ("--out", "--model") if args.command == "train" else ("--out",):
+            if named[flag] is None:
+                continue
+            path = Path(named[flag])
             if path.is_dir() or not path.parent.is_dir():
                 raise ConfigError(f"cannot write {path}: not a file in an existing directory")
+            for other, p in named.items():
+                if other != flag and p is not None and Path(p).resolve() == path.resolve():
+                    raise ConfigError(f"{flag} {path} names the same file as {other}")
         return COMMANDS[args.command](cfg, args)
     # ModelFileError is a ValueError, so the runtime clause goes first.
     except (mlp.ModelFileError, mlp.FilterStarvationError, FloatingPointError,

@@ -17,13 +17,13 @@ GF(2) matrices per (g, tile size), :func:`_matrices`, so :func:`scramble`
 and :func:`descramble` are one matmul each over one M x M tile or a
 ``(..., M, M)`` stack of them.
 
-:func:`encode_array` handles the tiles of many arrays in one pass.  One
-GF(2) matmul scrambles each tile's index-0 word; by linearity each other
-candidate is that word xored with a fixed, cached pattern per index, so
-candidates are formed and scored in packed integer form and only the
-chosen tile per array position is unpacked.  A tile of at most
-``CODE_CELLS`` (16) cells packs into one integer code and is scored by
-lookup in a table over all its codes; a larger tile packs into one
+:func:`augment` lays out every candidate word.  :func:`encode_array`
+scrambles each tile's ``augment(user, 0)`` in one GF(2) matmul over many
+arrays; by linearity candidate i is that word xored with the cached,
+scrambled ``augment(zeros, i)``, so candidates are formed and scored in
+packed integer form and only each chosen tile is unpacked.  A tile of at
+most ``CODE_CELLS`` (16) cells packs into one integer code and is scored
+by lookup in a table over all its codes; a larger tile packs into one
 ``uint64`` word per row and is scored from popcounts of row pairs
 (:func:`_score_rows`), so tiles up to 64 x 64 are supported.  An array's
 side information has one definition, :func:`tile_weights`; a tile's chosen
@@ -148,20 +148,18 @@ def descramble(tiles: np.ndarray, poly: tuple[int, ...]) -> np.ndarray:
     return _map_tiles(tiles, poly, inverse=True)
 
 
-def augment(user_bits: np.ndarray, index: int, cfg: CodecConfig) -> np.ndarray:
-    """Place user bits row-major, then the l-bit expansion of ``index``."""
-    user_bits = np.asarray(user_bits).reshape(-1)
-    if user_bits.size != cfg.user_bits:
-        raise ValueError(f"expected {cfg.user_bits} user bits, got {user_bits.size}")
-    if not 0 <= index < (1 << cfg.l):
+def augment(user_bits: np.ndarray, index: int | np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """(..., M, M) tiles of a (..., user_bits) word stack: user bits row-major, then the
+    MSB-first l-bit expansion of ``index`` (one index, or an array of them that broadcasts)."""
+    user_bits, index = np.asarray(user_bits), np.asarray(index)
+    if user_bits.shape[-1:] != (cfg.user_bits,):
+        raise ValueError(f"expected {cfg.user_bits} user bits, got shape {user_bits.shape}")
+    if np.any((index < 0) | (index >= 1 << cfg.l)):
         raise ValueError("augmentation index out of range")
-    tail = _index_bits(index, cfg.l)
-    return np.concatenate([user_bits, tail]).reshape(cfg.m, cfg.m)
-
-
-def _index_bits(index: int, l: int) -> np.ndarray:
-    """MSB-first l-bit expansion, so index 1 -> 0...01 in the last row."""
-    return np.array([(index >> (l - 1 - j)) & 1 for j in range(l)], dtype=np.int64)
+    lead = np.broadcast_shapes(user_bits.shape[:-1], index.shape)
+    tail = index[..., None] >> np.arange(cfg.l - 1, -1, -1) & 1  # index 1 -> 0...01
+    words = [np.broadcast_to(part, (*lead, part.shape[-1])) for part in (user_bits, tail)]
+    return np.concatenate(words, axis=-1).reshape(*lead, cfg.m, cfg.m)
 
 
 def _cells_per_word(m: int) -> int:
@@ -185,14 +183,10 @@ def _unpack(words: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _index_patterns(cfg: CodecConfig) -> np.ndarray:
-    """Packed scrambled augmentation pattern of every index, shape (2**l, words).
-
-    By GF(2) linearity the scrambled candidate of index i is the scrambled
-    index-0 word xored with the scrambled word holding only index i's bits.
-    """
-    words = np.zeros((1 << cfg.l, cfg.m * cfg.m), dtype=np.int64)
-    words[:, cfg.user_bits:] = [_index_bits(i, cfg.l) for i in range(1 << cfg.l)]
-    return _pack(scramble(words.reshape(-1, cfg.m, cfg.m), cfg.poly), cfg.m)
+    """Packed scrambled ``augment(zeros, i)`` of every index i, shape (2**l, words): by
+    GF(2) linearity, xored into a tile's scrambled index-0 word it gives candidate i."""
+    zeros = np.zeros(cfg.user_bits, dtype=np.int64)
+    return _pack(scramble(augment(zeros, np.arange(1 << cfg.l), cfg), cfg.poly), cfg.m)
 
 
 def candidate_set(payload: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -202,9 +196,7 @@ def candidate_set(payload: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     :func:`_pack` lays it out.
     """
     user = np.asarray(payload).reshape(-1, cfg.user_bits)
-    words = np.zeros((len(user), cfg.m * cfg.m), dtype=np.int64)
-    words[:, : cfg.user_bits] = user
-    base = _pack(scramble(words.reshape(-1, cfg.m, cfg.m), cfg.poly), cfg.m)
+    base = _pack(scramble(augment(user, 0, cfg), cfg.poly), cfg.m)
     return (base[:, None, :] ^ _index_patterns(cfg)[None]).reshape(-1, base.shape[1])
 
 

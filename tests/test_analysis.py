@@ -193,6 +193,17 @@ class TestEstimateBer:
         midpoint = analysis.estimate_ber(analysis.Scenario(analysis.MIDPOINT, params), 30, 8)
         assert est.trial_errors.tolist() != midpoint.trial_errors.tolist()
 
+    @pytest.mark.parametrize("detector", [analysis.MIDPOINT, analysis.MLP_ALL,
+                                          analysis.PIPELINE_DL, analysis.PIPELINE_THRESHOLD])
+    def test_uncoded_user_counts_are_the_cell_counts(self, detector):
+        # Uncoded, the stored cells are the user's bits.
+        params = ChannelParams(sigma=30.0, p_f=1e-2)
+        model = mlp._init_from_dims([256, 32, 256], 7, normalizer=1.0 / params.r0)
+        scn = analysis.Scenario(detector, params, model=model, threshold=170.0)
+        est = analysis.estimate_ber(scn, 40, 2)
+        assert est.errors > 0
+        assert (est.user_errors, est.user_bits) == (est.errors, est.cells)
+
 
 def estimate(trial_errors, cells_per_trial=64):
     """A BerEstimate with the given per-trial cell errors."""
@@ -271,15 +282,13 @@ class TestSimulateBlock:
         scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(sigma=sigma, p_f=p_f),
                                 codec=codec, q=q)
         payload, bits, weights, tile, reads = analysis.simulate_block(scn, seed, trials)
-        assert (payload is None) == (codec is None)
         assert weights.dtype == np.int64 and bits.dtype == np.int64
         for row, trial in enumerate(trials):
             w_payload, w_bits, w_weights, w_tile = analysis.write_trial(scn, seed, trial)
             _, _, w_reads = transmit(w_bits, scn.params,
                                      derive_rng(seed, trial, STREAM_FAILURES),
                                      derive_rng(seed, trial, STREAM_NOISE))
-            if codec is not None:
-                assert np.array_equal(payload[row], w_payload)
+            assert np.array_equal(payload[row], w_payload)
             assert np.array_equal(bits[row], w_bits)
             assert np.array_equal(weights[row], w_weights)
             assert tile == w_tile
@@ -329,6 +338,11 @@ class TestWriteTrial:
         corners = range(0, scn.params.n, tile)
         assert weights.tolist() == [int(bits[r:r + tile, c:c + tile].sum())
                                     for r in corners for c in corners]
+
+    def test_uncoded_payload_is_the_stored_cells(self):
+        scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams())
+        payload, bits, _, _ = analysis.write_trial(scn, 4, 9)
+        assert payload.shape == (256,) and np.array_equal(payload, bits.reshape(-1))
 
 
 def test_empirical_one_density_reduced_by_coding():

@@ -56,9 +56,9 @@ def reference_estimate(scn, trials, seed):
         payload, bits, weights, tile, reads = reference_trial(scn, seed, trial)
         est = reference_detect(scn, reads, weights, tile)
         trial_errors.append(int((est != bits).sum()))
-        if payload is not None:
-            user_errors += int((gs.decode_array(est, scn.codec) != payload).sum())
-            user_bits += payload.size
+        user = est.reshape(-1) if scn.codec is None else gs.decode_array(est, scn.codec)
+        user_errors += int((user != payload).sum())
+        user_bits += payload.size
     return trial_errors, user_errors, user_bits
 
 

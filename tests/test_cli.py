@@ -435,6 +435,43 @@ class TestBadPaths:
         assert err.count("\n") == 1 and "Input/output error" in err and "Traceback" not in err
 
 
+class TestSamePath:
+    """A path the command writes that names a file it reads, or another file it writes, exits
+    2 with one stderr line before any work, and leaves that file's bytes as they were."""
+
+    @pytest.mark.parametrize("command,argv,work", [
+        ("train", ["--model", "{tmp}/det.mlp", "--out", "{tmp}/det.mlp"],
+         (mlp, "generate_dataset")),
+        ("train", ["--model", "{cfg}"], (mlp, "generate_dataset")),
+        ("train", ["--model", "{tmp}/new.mlp", "--out", "{cfg}"], (mlp, "generate_dataset")),
+        ("threshold", ["--model", "{tmp}/det.mlp", "--out", "{tmp}/det.mlp"],
+         (mlp, "generate_dataset")),
+        ("threshold", ["--model", "{tmp}/det.mlp", "--out", "{cfg}"], (mlp, "generate_dataset")),
+        # Paths are compared resolved: a relative and an absolute name of one file.
+        ("evaluate", ["--set", "detectors=pipeline_dl", "--model", "det.mlp",
+                      "--out", "{tmp}/../{tmp.name}/det.mlp"], (analysis, "estimate_ber")),
+        ("evaluate", ["--out", "{cfg}"], (analysis, "estimate_ber")),
+        ("bound", ["--out", "{cfg}"], (analysis, "bound_for_scenario")),
+    ], ids=["train_out_is_model", "train_model_is_config", "train_out_is_config",
+            "threshold_out_is_model", "threshold_out_is_config", "evaluate_out_is_model",
+            "evaluate_out_is_config", "bound_out_is_config"])
+    def test_exits_config_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                command, argv, work):
+        monkeypatch.setattr(*work, lambda *args, **kwargs: pytest.fail("work ran"))
+        monkeypatch.chdir(tmp_path)
+        config = Path(write_cfg(tmp_path, "sigma_list = 30\nsigma = 30\npf = 0\ntrials = 5\n"))
+        model = tmp_path / "det.mlp"
+        model.write_bytes(model_bytes([256, 256]))
+        before = {path: path.read_bytes() for path in (config, model)}
+        code = cli.main([command, "--config", str(config),
+                         *(arg.format(tmp=tmp_path, cfg=config) for arg in argv)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and "names the same file" in err and "Traceback" not in err
+        assert {path: path.read_bytes() for path in (config, model)} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["det.mlp", "exp.cfg"]
+
+
 def model_bytes(dims, normalizer=1e-3):
     """A model file with the given dims, zero parameters and ``normalizer``."""
     params = sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:]))

@@ -168,11 +168,28 @@ class TestAugment:
         m = gs.augment(u, 0, CFG)
         assert np.array_equal(m.reshape(-1)[:60], u)
 
+    def test_a_stack_is_augmented_word_by_word(self):
+        users = (np.random.default_rng(3).random((5, CFG.user_bits)) < 0.5).astype(np.int64)
+        index = np.array([0, 15, 1, 7, 9])
+        got = gs.augment(users, index, CFG)
+        assert got.shape == (5, 8, 8)
+        for tile, u, i in zip(got, users, index):
+            assert np.array_equal(tile, gs.augment(u, int(i), CFG))
+        # One index broadcasts over the stack, and an index array over one word.
+        assert np.array_equal(gs.augment(users, 6, CFG), [gs.augment(u, 6, CFG) for u in users])
+        assert np.array_equal(gs.augment(users[0], index, CFG),
+                              [gs.augment(users[0], int(i), CFG) for i in index])
+
     def test_errors(self):
         with pytest.raises(ValueError):
             gs.augment(np.zeros(10, dtype=int), 0, CFG)
         with pytest.raises(ValueError):
             gs.augment(np.zeros(60, dtype=int), 16, CFG)
+        with pytest.raises(ValueError, match="user bits"):
+            gs.augment(np.zeros((3, 59), dtype=int), 0, CFG)
+        for index in ([0, 16, 1], [0, -1, 1]):
+            with pytest.raises(ValueError, match="index out of range"):
+                gs.augment(np.zeros((3, 60), dtype=int), np.array(index), CFG)
 
 
 class TestCodecConfig:

@@ -1,11 +1,13 @@
 """Analytic reference curves and the Monte Carlo BER harness.
 
-The no-sneak-path probability sums, over the counts (u, v) of LRS cells
-sharing the target's row and column, the chance that none of the u*v
-candidate rectangles has an LRS diagonal cell with a failed selector.
-It feeds a two-term lower bound on BER: unaffected cells fail like a
-midpoint detector in Gaussian noise, affected cells like a detector
-separating the parasitic HRS level from LRS.
+The no-sneak-path probability is the chance that none of the u*v candidate
+rectangles through a cell has an LRS diagonal cell with a failed selector,
+where u and v count the LRS cells sharing its row and column.  With b the
+Binomial(n-1, q) pmf and s = 1 - p_f*q, it is sum_u sum_v b(u) b(v) s^(uv);
+the binomial generating function sums out v, leaving one sum over u:
+sum_u b(u) (1 - q + q s^u)^(n-1).  It feeds a two-term lower bound on BER:
+unaffected cells fail like a midpoint detector in Gaussian noise, affected
+cells like a detector separating the parasitic HRS level from LRS.
 
 The harness simulates trials in blocks of at most ``BLOCK_CELLS`` cells
 (:func:`simulate_block`); trial t's draws depend on (seed, t) alone.
@@ -13,6 +15,7 @@ The harness simulates trials in blocks of at most ``BLOCK_CELLS`` cells
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,29 +29,21 @@ from .detectors import classify_array, pipeline_detect, threshold_detect  # noqa
 from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
 
 
-def q_function(x):
+def q_function(x: float) -> float:
     """Standard Gaussian tail probability Q(x)."""
-    # Imported on use: scipy.special adds ~25 MB of RSS to every process that loads it.
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def p_nonsp(params: ChannelParams, q: float) -> float:
     """Probability that a cell has no active sneak-path configuration at '1'-density q."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    from scipy.special import gammaln, logsumexp, xlogy
-
     k = params.n - 1
-    u = np.arange(k + 1)
-    log_binom = gammaln(k + 1) - gammaln(u + 1) - gammaln(k - u + 1)
-    log_q = xlogy(u, q) + xlogy(k - u, 1.0 - q)
-    log_marg = log_binom + log_q  # log C(k,u) q^u (1-q)^(k-u), per axis
-    uv = np.outer(u, u)
-    log_surv = xlogy(uv, 1.0 - params.p_f * q)
-    total = logsumexp(log_marg[:, None] + log_marg[None, :] + log_surv)
-    return float(np.clip(np.exp(total), 0.0, 1.0))
+    b = np.ones(1)  # after k convolutions, b[u] = C(k, u) q^u (1-q)^(k-u)
+    for _ in range(k):
+        b = np.convolve(b, (1.0 - q, q))
+    s = 1.0 - params.p_f * q
+    return float(np.clip(b @ (1.0 - q + q * s ** np.arange(k + 1)) ** k, 0.0, 1.0))
 
 
 def simulate_nonsp_fraction(params: ChannelParams, q: float, cells: int, seed: int) -> float:
@@ -107,7 +102,6 @@ class Scenario:
     q: float = 0.5
     model: object = None
     threshold: float | None = None  # ohms; pipeline_threshold's re-detection threshold
-    name: str | None = None
 
     def __post_init__(self):
         if self.detector not in (MIDPOINT, MLP_ALL, PIPELINE_DL, PIPELINE_THRESHOLD):
@@ -130,7 +124,7 @@ class Scenario:
 
     @property
     def label(self) -> str:
-        return self.name if self.name is not None else self.detector
+        return self.detector  # kept for bench/workloads.py
 
 
 @dataclass
@@ -278,7 +272,7 @@ def estimate_ber(scn: Scenario, trials: int, master_seed: int) -> BerEstimate:
         user_errors += int((user != payload).sum())
         user_bits += payload.size
     return BerEstimate(
-        detector=scn.label, sigma=scn.params.sigma, p_f=scn.params.p_f, rate=scn.rate,
+        detector=scn.detector, sigma=scn.params.sigma, p_f=scn.params.p_f, rate=scn.rate,
         cells=trials * scn.params.n ** 2, seed=master_seed, user_errors=user_errors,
         user_bits=user_bits, trial_errors=trial_errors,
     )

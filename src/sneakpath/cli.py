@@ -16,8 +16,8 @@ run the points of one ``sigma_list``, ``pf_list`` or ``rate_list`` sweep
 ``detector,sigma,pf,rate,trials,cells,errors,ber,ci95,seed`` and carry
 everything needed to regenerate them byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error, broken model file
-or failed read or write.
+Exit codes: 0 success, 2 configuration error, 3 runtime error, broken model file,
+failed read or write, or failed allocation.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args)
     # ModelFileError is a ValueError, so the runtime clause goes first.
     except (mlp.ModelFileError, mlp.FilterStarvationError, FloatingPointError,
-            RuntimeError, OSError) as exc:
+            MemoryError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:

@@ -171,13 +171,14 @@ def test_c07_derived_threshold_parity(record, desk_estimates):
 
 def test_c08_rate_sweep_direction(record, desk_lab):
     trials = 4_000
+    tokens = ("15/16", "14/16", "12/16", "10/16", "8/16")
     sweep = []
-    for token in ("15/16", "14/16", "12/16", "10/16", "8/16"):
+    for token in tokens:
         m, l = cli.RATE_CONFIGS[token]
         scn = analysis.Scenario(
             analysis.PIPELINE_THRESHOLD, desk_lab.params,
             codec=gs.CodecConfig.make(m, l),
-            threshold=desk_lab.threshold, name=token)
+            threshold=desk_lab.threshold)
         sweep.append(analysis.estimate_ber(scn, trials, 808))
     nonincreasing = all(analysis.confidently_le(b, a)
                         for a, b in zip(sweep, sweep[1:]))
@@ -189,7 +190,7 @@ def test_c08_rate_sweep_direction(record, desk_lab):
         trials, 808)
     beats_min_weight = analysis.confidently_le(sweep[-1], mw)
     ok = nonincreasing and beats_min_weight
-    bers = ", ".join(f"{e.detector} {e.ber:.2e}" for e in sweep)
+    bers = ", ".join(f"{token} {e.ber:.2e}" for token, e in zip(tokens, sweep))
     record(8, ok, f"BER nonincreasing with rate ({bers}); path-count vs "
                   f"min-weight at 8/16: {sweep[-1].ber:.2e} vs {mw.ber:.2e} "
                   f"(z {analysis.le_zscore(sweep[-1], mw):+.1f}, reject "

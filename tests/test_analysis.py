@@ -1,4 +1,7 @@
 import itertools
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +54,13 @@ def exhaustive_p_nonsp(n, q, p_f):
     return total
 
 
+def exact_p_nonsp(n, q, p_f):
+    """The double sum over the row and column LRS counts (u, v), in exact rationals."""
+    q, s, k = Fraction(q), 1 - Fraction(p_f) * Fraction(q), n - 1
+    b = [math.comb(k, u) * q**u * (1 - q) ** (k - u) for u in range(n)]
+    return sum(b[u] * b[v] * s ** (u * v) for u in range(n) for v in range(n))
+
+
 class TestPNonsp:
     def test_no_failures_means_probability_one(self):
         for q in (0.0, 0.3, 1.0):
@@ -77,9 +87,24 @@ class TestPNonsp:
             params = ChannelParams(p_f=rng.random())
             assert 0.0 <= analysis.p_nonsp(params, rng.random()) <= 1.0
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_matches_exact_double_sum(self, n):
+        for q, p_f in itertools.product((0.0, 0.3, 0.5, 1.0), (0.0, 1e-3, 0.3, 1.0)):
+            got = analysis.p_nonsp(ChannelParams(n=n, p_f=p_f), q)
+            assert got == pytest.approx(float(exact_p_nonsp(n, q, p_f)), rel=1e-12)
+
     def test_large_n_does_not_overflow(self):
         v = analysis.p_nonsp(ChannelParams(n=64, p_f=1e-3), 0.5)
         assert 0.0 <= v <= 1.0
+        # No n x n temporaries: at n = 2,048 one call peaks well under 1 MiB.
+        tracemalloc.start()
+        try:
+            v = analysis.p_nonsp(ChannelParams(n=2048, p_f=1e-3), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == pytest.approx(3.9458350497e-182, rel=1e-9)
+        assert peak < 1 << 20
 
     def test_rejects_q_outside_unit_interval(self):
         params = ChannelParams(sigma=30.0, p_f=1e-3)

@@ -434,6 +434,20 @@ class TestBadPaths:
         assert code == cli.EXIT_RUNTIME
         assert err.count("\n") == 1 and "Input/output error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,work", [("bound", (analysis, "bound_for_scenario")),
+                                              ("evaluate", (analysis, "estimate_ber"))])
+    def test_failed_allocation_is_runtime_error(self, tmp_path, capsys, monkeypatch, command,
+                                                work):
+        def fails(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(*work, fails)
+        code = cli.main([command, "--set", "sigma_list=30", "--set", "pf=1e-2",
+                         "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert err.count("\n") == 1 and err.startswith("runtime error: Unable to allocate")
+
 
 class TestSamePath:
     """A path the command writes that names a file it reads, or another file it writes, exits
@@ -624,12 +638,19 @@ class TestThresholdCommand:
 
 
 def test_import_and_evaluate_leave_scipy_special_unloaded(tmp_path):
-    script = ("import sys, sneakpath\n"
-              "assert 'scipy.special' not in sys.modules\n"
+    # The runtime needs NumPy alone: with scipy unimportable, evaluate and bound still run.
+    fig2 = str(CONFIG_DIR / "fig2.cfg")
+    runs = [["evaluate", "--set", "sigma_list=30", "--set", "pf=1e-2", "--set", "trials=3",
+             "--out", str(tmp_path / "ber.csv")],
+            ["bound", "--config", fig2, "--out", str(tmp_path / "coded.csv")],
+            ["bound", "--config", fig2, "--set", "coded=false", "--out",
+             str(tmp_path / "uncoded.csv")]]
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import sneakpath\n"
               "from sneakpath.cli import main\n"
-              "assert main(['evaluate', '--set', 'sigma_list=30', '--set', 'pf=1e-2',\n"
-              f"             '--set', 'trials=3', '--out', {str(tmp_path / 'ber.csv')!r}]) == 0\n"
-              "assert 'scipy.special' not in sys.modules\n")
+              f"for argv in {runs!r}:\n"
+              "    assert main(argv) == 0, argv\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -22,11 +22,11 @@ from functools import partial
 import numpy as np
 
 from . import codec as gs
-# transmit and classify_array stay bound for bench/test_bench.py's tracer test.
+# transmit, classify_array and derive_rng stay bound for bench/test_bench.py's tracer test.
 from .channel import (ChannelParams, compute_sneak_mask, read_levels,  # noqa: F401
                       sample_failures, transmit)
 from .detectors import classify_array, pipeline_detect, threshold_detect  # noqa: F401
-from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng
+from .rng import STREAM_DATA, STREAM_FAILURES, STREAM_NOISE, derive_rng, derive_rngs  # noqa: F401
 
 
 def q_function(x: float) -> float:
@@ -211,8 +211,9 @@ def trial_blocks(trials: int, n: int):
 
 
 def _stack(master_seed: int, trials, stream: int, draw, shape) -> np.ndarray:
-    """Row i is ``draw(rng)`` on the ``stream`` generator of trial ``trials[i]``."""
-    rows = [draw(derive_rng(master_seed, int(t), stream)) for t in trials]
+    """Row i is ``draw(rng)`` on the ``stream`` generator of trial ``trials[i]``, which
+    :func:`rng.derive_rngs` seeds for the whole block in one pass."""
+    rows = [draw(rng) for rng in derive_rngs(master_seed, trials, stream)]
     return np.array(rows).reshape(len(rows), *shape)  # the shape holds for no trials too
 
 

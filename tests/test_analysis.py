@@ -324,9 +324,9 @@ class TestSimulateBlock:
         scn = analysis.Scenario(analysis.MIDPOINT, ChannelParams(sigma=30.0, p_f=1e-2))
         full = analysis.simulate_block(scn, 3, range(6))
         drawn = []
-        derive = analysis.derive_rng
-        monkeypatch.setattr(analysis, "derive_rng",
-                            lambda *key: drawn.append(key) or derive(*key))
+        derive = analysis.derive_rngs
+        monkeypatch.setattr(analysis, "derive_rngs", lambda seed, trials, stream: drawn.extend(
+            (seed, t, stream) for t in trials) or derive(seed, trials, stream))
         odd = analysis.simulate_block(scn, 3, range(6),
                                       skip=lambda fails, noise: np.arange(6) % 2 == 0)
         for whole, part in zip(full[1:], odd[1:]):

@@ -153,7 +153,8 @@ class TestGenerateDataset:
                 noise[0, 0] = z
                 return noise
 
-        monkeypatch.setattr(analysis, "derive_rng", lambda seed, trial, stream: Draws(stream))
+        monkeypatch.setattr(analysis, "derive_rngs",
+                            lambda seed, trials, stream: [Draws(stream) for _ in trials])
         if kept:
             ds = mlp.generate_dataset(params, None, 1, mlp.AFFECTED_ONLY, seed=0)
             assert ds.labels.tolist() == [[1] * 16]
